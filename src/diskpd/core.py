@@ -397,16 +397,26 @@ def _decide_floating(m: HermitianMatrix, tol: float) -> PositivityReport:
     for step in range(n):
         rem = a[step:, step:].diagonal().real
         jmin = int(np.argmin(rem))
-        if rem[jmin] < -threshold:
-            pivots.append(float(rem[jmin]))
+        jmax = int(np.argmax(rem))
+        lowest = float(rem[jmin])
+        pivot = float(rem[jmax])
+        # argmin and argmax return the first NaN when there is one, so these
+        # two scalars see every overflowed or NaN entry on the diagonal
+        if not math.isfinite(lowest) or not math.isfinite(pivot):
+            return PositivityReport(
+                verdict=Verdict.INDETERMINATE,
+                tolerance_used=tol,
+                pivots=tuple(pivots),
+                failing_index=perm[step + (jmin if not math.isfinite(lowest) else jmax)],
+            )
+        if lowest < -threshold:
+            pivots.append(lowest)
             return PositivityReport(
                 verdict=Verdict.NOT_POSITIVE_DEFINITE,
                 tolerance_used=tol,
                 pivots=tuple(pivots),
                 failing_index=perm[step + jmin],
             )
-        jmax = int(np.argmax(rem))
-        pivot = float(rem[jmax])
         if pivot <= threshold:
             pivots.append(pivot)
             return PositivityReport(
@@ -475,7 +485,9 @@ def is_positive_definite(m: HermitianMatrix, mode: str = "floating", tol: float 
     mode="floating": LDL with largest-diagonal pivoting; all pivots above
     tol * (largest diagonal entry) gives POSITIVE_DEFINITE, a pivot below
     the negated threshold gives NOT_POSITIVE_DEFINITE with the offending
-    original index, and a pivot inside the band gives INDETERMINATE.
+    original index, and a pivot inside the band gives INDETERMINATE.  An
+    overflowed or NaN diagonal entry met during the elimination also gives
+    INDETERMINATE, certified by the finite pivots taken before it.
 
     mode="exact": exact rational leading principal minors (Sylvester);
     only available when the matrix carries Gaussian rational entries.
@@ -498,8 +510,10 @@ def max_uniform_scale(c: DiskCollection, tol: float = 1e-12) -> float:
     predicate is monotone in s and bisection is sound.  The initial upper
     bracket comes from the two-disk criterion s^2 (R_i^2 + R_j^2) <
     |a_i - a_j|^2, which every pair subcollection must satisfy; growth by
-    doubling guards against floating fuzz at that bound.  Returns inf for
-    a single disk (always positive).
+    doubling guards against floating fuzz at that bound.  Returns the
+    lower end of the final bracket, the largest scale at which the
+    floating decision returned positive-definite (within tol of the
+    boundary), and inf for a single disk (always positive).
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -535,4 +549,4 @@ def max_uniform_scale(c: DiskCollection, tol: float = 1e-12) -> float:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return lo

@@ -24,6 +24,7 @@ __all__ = [
     "ZeroStructureReport",
     "pochhammer",
     "hypergeometric_polynomial",
+    "reversed_hypergeometric_polynomial",
     "jacobi_polynomial",
     "v_polynomial",
     "isolate_real_roots",
@@ -542,12 +543,20 @@ def hypergeometric_polynomial(a: int, b, c) -> RationalPolynomial:
     return RationalPolynomial(coeffs)
 
 
-def _generalized_binomial(u: Fraction, k: int) -> Fraction:
-    """C(u, k) = u(u-1)...(u-k+1)/k! for arbitrary rational u."""
-    num = Fraction(1)
-    for i in range(k):
-        num *= u - i
-    return num / math.factorial(k)
+def reversed_hypergeometric_polynomial(a: int, b, c, degree: int) -> RationalPolynomial:
+    """z^degree * F(a, b; c; -1/z) as an exact polynomial in z.
+
+    The k-th series coefficient of F(a, b; c; x), times (-1)^k, becomes the
+    coefficient of z^(degree-k).  Raises if the series has more than
+    degree + 1 terms, since the result would then not be a polynomial.
+    """
+    series = hypergeometric_polynomial(a, b, c).coefficients
+    if len(series) > degree + 1:
+        raise ValueError(f"series of length {len(series)} exceeds degree {degree}")
+    coeffs = [Fraction(0)] * (degree + 1)
+    for k, f in enumerate(series):
+        coeffs[degree - k] = -f if k % 2 else f
+    return RationalPolynomial(coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -558,29 +567,11 @@ def _jacobi_cached(k: int, alpha: Fraction, beta: Fraction) -> RationalPolynomia
             f"degenerate parameters: alpha+beta={s} makes the leading binomial "
             f"C({2 * k + s}, {k}) and a Pochhammer denominator vanish together"
         )
-    binom = _generalized_binomial(2 * k + s, k)
-    b = -k - alpha
-    stop = k
-    if _is_nonpositive_integer(b) and -b < stop:
-        stop = int(-b)
-    # powers of (z-1), built termwise; the defining quotient -2/(z-1) is
-    # never evaluated pointwise
-    pow_zm1 = [RationalPolynomial([1])]
-    for _ in range(k):
-        pow_zm1.append(pow_zm1[-1] * _X_MINUS_1)
-    half_pow = Fraction(1, 2 ** k)
-    out = RationalPolynomial()
-    term = Fraction(1)
-    for j in range(stop + 1):
-        if j:
-            cval = -2 * k - s + j - 1
-            if cval == 0:
-                raise ValueError(
-                    f"Pochhammer denominator (-2k-alpha-beta)_{j} vanishes"
-                )
-            term *= (-k + j - 1) * (b + j - 1) * -2 / (Fraction(j) * cval)
-        out = out + (binom * half_pow * term) * pow_zm1[k - j]
-    return out
+    # C(2k+s, k) w^k F(-k, -k-alpha; -2k-s; -1/w) with w = (z-1)/2, built as
+    # a polynomial in w; the quotient -1/w is never evaluated pointwise
+    binom = pochhammer(k + s + 1, k) / math.factorial(k)
+    in_w = reversed_hypergeometric_polynomial(-k, -k - alpha, -2 * k - s, k)
+    return binom * in_w.compose(RationalPolynomial((Fraction(-1, 2), Fraction(1, 2))))
 
 
 def jacobi_polynomial(k: int, alpha, beta) -> RationalPolynomial:

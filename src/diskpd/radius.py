@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .orthopoly import RationalPolynomial, isolate_real_roots
+from .orthopoly import RationalPolynomial, isolate_real_roots, reversed_hypergeometric_polynomial
 
 __all__ = [
     "RadiusResult",
@@ -61,21 +61,12 @@ class RadiusResult:
 def central_polynomial(n: int) -> RationalPolynomial:
     """Exact expansion of z^nu F(-nu, nu-n; 1-n; -1/z), nu = floor(n/2).
 
-    Assembled monomial by monomial: the k-th series term contributes
-    coefficient (-1)^k (-nu)_k (nu-n)_k / ((1-n)_k k!) to z^(nu-k).
     Proportional to the circulant eigenvalue polynomial T_{n,n-nu}.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     nu = n // 2
-    coeffs = [Fraction(0)] * (nu + 1)
-    term = Fraction(1)
-    for k in range(nu + 1):
-        if k:
-            denom = Fraction(k) * (1 - n + k - 1)
-            term *= (-nu + k - 1) * (nu - n + k - 1) / denom
-        coeffs[nu - k] = term * (-1) ** k
-    return RationalPolynomial(coeffs)
+    return reversed_hypergeometric_polynomial(-nu, nu - n, 1 - n, nu)
 
 
 def _bounds_for(n: int) -> tuple[float, float]:

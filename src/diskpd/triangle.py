@@ -10,7 +10,7 @@ minors of the Q matrix in the variables x_i = R_i^2.
 from __future__ import annotations
 
 import warnings
-from fractions import Fraction
+from itertools import product
 
 __all__ = [
     "triangle_positive",
@@ -82,68 +82,14 @@ def triangle_minors(x1, x2, x3):
     return d1, d2, d3
 
 
-class _TriPoly:
-    """Exact trivariate polynomial: {(i, j, k): Fraction} keyed by exponents."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        cleaned = {}
-        for key, val in (terms or {}).items():
-            val = Fraction(val)
-            if val:
-                cleaned[key] = val
-        self.terms = cleaned
-
-    @classmethod
-    def constant(cls, value):
-        return cls({(0, 0, 0): Fraction(value)})
-
-    @classmethod
-    def variable(cls, axis: int):
-        key = tuple(1 if i == axis else 0 for i in range(3))
-        return cls({key: Fraction(1)})
-
-    def _coerce(self, other):
-        if isinstance(other, _TriPoly):
-            return other
-        return _TriPoly.constant(other)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + val
-        return _TriPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _TriPoly({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        out = {}
-        for ka, va in self.terms.items():
-            for kb, vb in other.terms.items():
-                key = (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2])
-                out[key] = out.get(key, Fraction(0)) + va * vb
-        return _TriPoly(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, _TriPoly) and self.terms == other.terms
-
-
 def phi_reflection_symmetric() -> bool:
-    """Exact coefficientwise check of phi(3-x1, 3-x2, 3-x3) == phi(x)."""
-    x = [_TriPoly.variable(i) for i in range(3)]
-    reflected = [3 - xi for xi in x]
-    return phi_value(*x) == phi_value(*reflected)
+    """Exact check of the identity phi(3-x1, 3-x2, 3-x3) == phi(x1, x2, x3).
+
+    The difference of the two sides has degree at most 2 in each variable,
+    so it is the zero polynomial as soon as it vanishes on the grid
+    {0, 1, 2}^3 (interpolate one variable at a time).  The grid values are
+    exact integers.
+    """
+    return all(
+        phi_value(*(3 - xi for xi in x)) == phi_value(*x) for x in product(range(3), repeat=3)
+    )

@@ -199,6 +199,15 @@ class TestPositivity:
             q = build_q_matrix(DiskCollection([0.0], [r]))
             assert is_positive_definite(q).verdict is Verdict.POSITIVE_DEFINITE
 
+    @pytest.mark.parametrize("n", [30, 60])
+    def test_non_finite_entries_are_indeterminate(self, n):
+        # disjoint collinear disks, positive by scale invariance; at spacing
+        # 100 their Q entries overflow (n = 30) or become NaN (n = 60)
+        c = DiskCollection([100.0 * k for k in range(n)], [10.0] * n)
+        report = is_positive_definite(build_q_matrix(c))
+        assert report.verdict is Verdict.INDETERMINATE
+        assert all(math.isfinite(p) for p in report.pivots)
+
 
 class TestOverlapMeasure:
     def test_tangent_disks(self):

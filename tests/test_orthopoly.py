@@ -12,11 +12,14 @@ from diskpd.orthopoly import (
     isolate_real_roots,
     jacobi_polynomial,
     pochhammer,
+    reversed_hypergeometric_polynomial,
     squarefree_decomposition,
     v_identity_suite,
     v_polynomial,
     zero_structure_check,
 )
+from diskpd.radius import central_polynomial
+from diskpd.symmetric import t_polynomial
 
 fractions = st.fractions(max_denominator=50)
 small_polys = st.lists(st.integers(-9, 9), min_size=0, max_size=7).map(RationalPolynomial)
@@ -113,6 +116,51 @@ class TestHypergeometric:
         assert pochhammer(3, 4) == 3 * 4 * 5 * 6
         assert pochhammer(Fraction(-1, 2), 2) == Fraction(-1, 4)
         assert pochhammer(7, 0) == 1
+
+
+def _rising(a, k):
+    out = Fraction(1)
+    for i in range(k):
+        out *= a + i
+    return out
+
+
+def _series(a, b, c, x):
+    """Terminating F(a, b; c; x), a <= 0, summed term by term."""
+    return sum(
+        _rising(a, k) * _rising(b, k) / (_rising(c, k) * math.factorial(k)) * x**k
+        for k in range(-a + 1)
+    )
+
+
+def _binom(u, k):
+    """C(u, k) for rational u."""
+    return _rising(u - k + 1, k) / math.factorial(k)
+
+
+def _jacobi_value(k, alpha, beta, z):
+    """P_k^(alpha,beta)(z) by Szego's binomial sum (4.3.2)."""
+    return sum(
+        _binom(k + alpha, k - j) * _binom(k + beta, j) * ((z - 1) / 2) ** j * ((z + 1) / 2) ** (k - j)
+        for j in range(k + 1)
+    )
+
+
+class TestReversedSeries:
+    def test_series_longer_than_degree_raises(self):
+        with pytest.raises(ValueError):
+            reversed_hypergeometric_polynomial(-3, 1, 1, 2)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 12, 19, 28, 40])
+    def test_families_match_their_series_termwise(self, n):
+        nu = n // 2
+        for z in (Fraction(-7, 4), Fraction(-1, 3), Fraction(2, 7), Fraction(5, 2)):
+            for m in range(1, n):
+                t = n * math.comb(n, m) * (-z) ** (n - m) * _series(-m, m - n, 1 - n, -1 / z)
+                assert t_polynomial(n, m)(z) == t, (n, m, z)
+                assert jacobi_polynomial(m, n - 2 * m, -1)(z) == _jacobi_value(m, n - 2 * m, -1, z)
+            assert t_polynomial(n, n)(z) == n * ((-z) ** n - 1)
+            assert central_polynomial(n)(z) == z**nu * _series(-nu, nu - n, 1 - n, -1 / z)
 
 
 class TestJacobi:

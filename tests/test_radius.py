@@ -13,7 +13,7 @@ from diskpd.radius import (
     maximal_radius,
     rho_bounds,
 )
-from diskpd.symmetric import regular_collection, t_polynomial
+from diskpd.symmetric import positivity_by_t, regular_collection, t_polynomial
 from diskpd.verify import radius_suite
 
 
@@ -140,6 +140,11 @@ class TestSuiteAndConsistency:
         exact = maximal_radius(7).rho
         brute = max_uniform_scale(regular_collection(7, 1.0))
         assert abs(exact - brute) < 1e-8
+
+    def test_scale_search_returns_a_positive_scale(self):
+        # the bisection midpoint for n = 48 lies above rho_48
+        s = max_uniform_scale(regular_collection(48, 1.0))
+        assert positivity_by_t(48, s)
 
     def test_radius_suite_to_sixteen(self):
         results = radius_suite(nmax=16)
