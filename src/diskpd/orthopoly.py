@@ -24,7 +24,6 @@ __all__ = [
     "ZeroStructureReport",
     "pochhammer",
     "hypergeometric_polynomial",
-    "reversed_hypergeometric_polynomial",
     "jacobi_polynomial",
     "v_polynomial",
     "isolate_real_roots",
@@ -543,7 +542,7 @@ def hypergeometric_polynomial(a: int, b, c) -> RationalPolynomial:
     return RationalPolynomial(coeffs)
 
 
-def reversed_hypergeometric_polynomial(a: int, b, c, degree: int) -> RationalPolynomial:
+def _reversed_hypergeometric_polynomial(a: int, b, c, degree: int) -> RationalPolynomial:
     """z^degree * F(a, b; c; -1/z) as an exact polynomial in z.
 
     The k-th series coefficient of F(a, b; c; x), times (-1)^k, becomes the
@@ -570,7 +569,7 @@ def _jacobi_cached(k: int, alpha: Fraction, beta: Fraction) -> RationalPolynomia
     # C(2k+s, k) w^k F(-k, -k-alpha; -2k-s; -1/w) with w = (z-1)/2, built as
     # a polynomial in w; the quotient -1/w is never evaluated pointwise
     binom = pochhammer(k + s + 1, k) / math.factorial(k)
-    in_w = reversed_hypergeometric_polynomial(-k, -k - alpha, -2 * k - s, k)
+    in_w = _reversed_hypergeometric_polynomial(-k, -k - alpha, -2 * k - s, k)
     return binom * in_w.compose(RationalPolynomial((Fraction(-1, 2), Fraction(1, 2))))
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .orthopoly import RationalPolynomial, isolate_real_roots, reversed_hypergeometric_polynomial
+from .orthopoly import RationalPolynomial, isolate_real_roots, _reversed_hypergeometric_polynomial
 
 __all__ = [
     "RadiusResult",
@@ -66,7 +66,7 @@ def central_polynomial(n: int) -> RationalPolynomial:
     if n < 2:
         raise ValueError("need n >= 2")
     nu = n // 2
-    return reversed_hypergeometric_polynomial(-nu, nu - n, 1 - n, nu)
+    return _reversed_hypergeometric_polynomial(-nu, nu - n, 1 - n, nu)
 
 
 def _bounds_for(n: int) -> tuple[float, float]:

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import DiskCollection, HermitianMatrix, build_q_matrix
-from .orthopoly import RationalPolynomial, jacobi_polynomial, reversed_hypergeometric_polynomial
+from .orthopoly import RationalPolynomial, jacobi_polynomial, _reversed_hypergeometric_polynomial
 
 __all__ = [
     "regular_collection",
@@ -68,19 +68,10 @@ def t_polynomial(n: int, m: int) -> RationalPolynomial:
         coeffs = [Fraction(-n)] + [Fraction(0)] * (n - 1) + [Fraction((-1) ** n * n)]
         return RationalPolynomial(coeffs)
     lead = n * math.comb(n, m) * (-1) ** (n - m)
-    poly = lead * reversed_hypergeometric_polynomial(-m, m - n, 1 - n, n - m)
+    poly = lead * _reversed_hypergeometric_polynomial(-m, m - n, 1 - n, n - m)
     assert all(c.denominator == 1 for c in poly.coefficients)
     assert poly.degree == n - m
     return poly
-
-
-def _a_entry(w: list[complex], i: int, j: int, z: float) -> complex:
-    """A_{i,j}(z) = prod_k (w^(i-j) - w^(k-j) - w^(i-k) - z), w the n-th roots of unity."""
-    n = len(w)
-    prod = 1 + 0j
-    for k in range(n):
-        prod *= w[(i - j) % n] - w[(k - j) % n] - w[(i - k) % n] - z
-    return prod
 
 
 def a_matrix(n: int, z: float) -> HermitianMatrix:
@@ -99,7 +90,9 @@ def a_matrix(n: int, z: float) -> HermitianMatrix:
     scale = 0.0
     for i in range(n):
         for j in range(i, n):
-            prod = _a_entry(w, i, j, z)
+            prod = 1 + 0j
+            for k in range(n):
+                prod *= w[(i - j) % n] - w[(k - j) % n] - w[(i - k) % n] - z
             if i == j:
                 rows[i][i] = complex(prod.real, 0.0)
             else:
@@ -129,11 +122,8 @@ def circulant_spectrum(n: int, z, check: bool = True) -> list[float]:
     zq = Fraction(z) if isinstance(z, (int, Fraction)) else z
     values = [float(t_polynomial(n, m)(zq)) for m in range(1, n + 1)]
     if check:
-        if z < -1:
-            raise ValueError("need z >= -1")
         w = _roots_of_unity(n)
-        first_row = [_a_entry(w, 0, j, float(z)) for j in range(n)]
-        first_row[0] = first_row[0].real
+        first_row = a_matrix(n, float(z)).rows[0]
         scale = max(1.0, max(abs(a) for a in first_row))
         for m in range(1, n + 1):
             s = sum(w[(m * j) % n] * first_row[j] for j in range(n))

@@ -12,7 +12,7 @@ from diskpd.orthopoly import (
     isolate_real_roots,
     jacobi_polynomial,
     pochhammer,
-    reversed_hypergeometric_polynomial,
+    _reversed_hypergeometric_polynomial,
     squarefree_decomposition,
     v_identity_suite,
     v_polynomial,
@@ -149,7 +149,7 @@ def _jacobi_value(k, alpha, beta, z):
 class TestReversedSeries:
     def test_series_longer_than_degree_raises(self):
         with pytest.raises(ValueError):
-            reversed_hypergeometric_polynomial(-3, 1, 1, 2)
+            _reversed_hypergeometric_polynomial(-3, 1, 1, 2)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 12, 19, 28, 40])
     def test_families_match_their_series_termwise(self, n):
