@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 _HERMITIAN_RTOL = 1e-12
+_BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -220,11 +221,15 @@ class DiskCollection:
 class HermitianMatrix:
     """Dense Hermitian matrix, either floating complex or Gaussian rational.
 
-    Construction validates Hermitian symmetry: exactly for rational
-    entries, to 1e-12 relative tolerance for floating ones.
+    Construction from rows validates Hermitian symmetry: exactly for
+    rational entries, to 1e-12 relative tolerance for floating ones.  A
+    floating matrix is held as one numpy array E with a vector of log
+    scales l, and presents the matrix Q_ij = E_ij exp(l_i + l_j); matrices
+    built from rows have l = 0.  Q entries beyond the double range read
+    as inf, with numpy's overflow warning.
     """
 
-    __slots__ = ("rows", "order", "is_exact")
+    __slots__ = ("_rows", "_e", "_log_scale", "order", "is_exact")
 
     def __init__(self, rows):
         rows = tuple(tuple(row) for row in rows)
@@ -246,17 +251,39 @@ class HermitianMatrix:
                             f"matrix is not Hermitian at ({i},{j}): "
                             f"|difference| {diff:.3e} exceeds {_HERMITIAN_RTOL:.0e} relative"
                         )
-        self.rows = rows
+        self._rows = rows
+        self._e = None if exact else np.array(rows, dtype=complex)
+        self._log_scale = None if exact else np.zeros(n)
         self.order = n
         self.is_exact = exact
+
+    @classmethod
+    def _equilibrated(cls, e: np.ndarray, log_scale: np.ndarray) -> "HermitianMatrix":
+        """Floating matrix Q = diag(exp(l)) E diag(exp(l)) from an exactly
+        Hermitian E; no symmetry scan."""
+        m = cls.__new__(cls)
+        m._rows = None
+        m._e = e
+        m._log_scale = log_scale
+        m.order = len(e)
+        m.is_exact = False
+        return m
+
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        """Entries as nested tuples (of Q, made on first use, for a built
+        floating matrix)."""
+        if self._rows is None:
+            self._rows = tuple(map(tuple, self.to_numpy().tolist()))
+        return self._rows
 
     def entry(self, i: int, j: int):
         return self.rows[i][j]
 
     def to_numpy(self) -> np.ndarray:
         if self.is_exact:
-            return np.array([[complex(e) for e in row] for row in self.rows], dtype=complex)
-        return np.array(self.rows, dtype=complex)
+            return np.array([[complex(e) for e in row] for row in self._rows], dtype=complex)
+        return self._e * np.exp(self._log_scale[:, None] + self._log_scale)
 
     def eigenvalues(self) -> tuple[float, ...]:
         """Real spectrum, ascending (floating; computed on request)."""
@@ -295,10 +322,15 @@ class PositivityReport:
 def build_q_matrix(c: DiskCollection) -> HermitianMatrix:
     """Q matrix of a disk collection: Q_ij = -prod_k[(a_i-a_k)conj(a_j-a_k) - R_k^2].
 
-    Exact Gaussian-rational entries when the collection is exact, floating
-    complex otherwise.  The result is Hermitian by construction; diagonal
-    entries are real (their imaginary parts vanish identically and are
-    checked against a 1e-12 relative bound before being dropped).
+    Exact Gaussian-rational entries when the collection is exact.  A
+    floating collection gets the equilibrated matrix E = D^-1 Q D^-1 with
+    D_i = prod_k s_ik and s_ik = sqrt|g_ik|, g_ik = |a_i-a_k|^2 - R_k^2:
+    each factor of the product is divided by s_ik s_jk, so E never leaves
+    the double range, its diagonal E_ii = -prod_k sign(g_ik) is exactly
+    +-1 (0 when some Q_ii = 0, where the vanishing factor stays unscaled),
+    and it is the same for every coordinate scale.  E is congruent to Q by
+    a positive diagonal, so definiteness is that of Q.  Both results are
+    Hermitian by construction.
     """
     n = c.n
     if c.is_exact:
@@ -319,25 +351,38 @@ def build_q_matrix(c: DiskCollection) -> HermitianMatrix:
                     rows[j][i] = entry.conjugate()
         return HermitianMatrix(rows)
 
-    a = c.centers
-    r2 = [r * r for r in c.radii]
-    rows = [[0j] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            prod = 1 + 0j
-            for k in range(n):
-                prod *= (a[i] - a[k]) * (a[j] - a[k]).conjugate() - r2[k]
-            entry = -prod
-            if i == j:
-                if abs(entry.imag) > 1e-12 * abs(entry):
-                    raise ArithmeticError(
-                        f"diagonal entry ({i},{i}) has non-negligible imaginary part"
-                    )
-                rows[i][i] = complex(entry.real, 0.0)
-            else:
-                rows[i][j] = entry
-                rows[j][i] = entry.conjugate()
-    return HermitianMatrix(rows)
+    # One power of two brings the largest input into [1/2, 1): exact, so E
+    # is unchanged, and no square below can overflow or underflow.  (Inputs
+    # all below 2^-1000 are subnormal; 2^1000 is as far as they need to go.)
+    shift = max(math.frexp(max(max(map(abs, c.centers)), max(c.radii)))[1], -1000)
+    unit = math.ldexp(1.0, -shift)
+    a = np.array([z * unit for z in c.centers])
+    r2 = np.array([(r * unit) ** 2 for r in c.radii])
+    d = a - a[:, None]  # d[k, i] = a_i - a_k
+    # multiply the factors of k-blocks in turn: an n^3 temporary would not
+    # stay small
+    step = max(1, _BLOCK_ELEMENTS // (n * n))
+    e = log_scale = None
+    for k in range(0, n, step):
+        dk = d[k : k + step]
+        f = dk[:, :, None] * dk.conj()[:, None, :]
+        f -= r2[k : k + step, None, None]
+        diagonal = f.reshape(len(f), n * n)[:, :: n + 1]
+        g = diagonal.real  # g[k, i] = |a_i - a_k|^2 - R_k^2
+        s = np.sqrt(np.abs(g))
+        s[g == 0] = 1.0
+        sign = np.sign(g)
+        f /= s[:, :, None] * s[:, None, :]
+        diagonal[...] = sign
+        p, l = f.prod(axis=0), np.log(s).sum(axis=0)
+        e, log_scale = (p, l) if e is None else (e * p, log_scale + l)
+    log_scale += n * shift * math.log(2.0)
+    # the two triangles of the product need not be exact conjugates; the
+    # Hermitian part is, and its diagonal keeps -prod_k sign(g_ik)
+    h = e.conj().T
+    h += e
+    h *= -0.5
+    return HermitianMatrix._equilibrated(h, log_scale)
 
 
 def is_admissible(c: DiskCollection) -> bool:
@@ -379,7 +424,7 @@ def overlap_measure(c: DiskCollection) -> float:
 
 def _decide_floating(m: HermitianMatrix, tol: float) -> PositivityReport:
     n = m.order
-    a = m.to_numpy()
+    a = m.to_numpy() if m.is_exact else m._e.copy()
     diag = a.diagonal().real.copy()
     scale = float(np.max(np.abs(diag))) if n else 0.0
     threshold = tol * scale
@@ -482,7 +527,9 @@ def _decide_exact(m: HermitianMatrix) -> PositivityReport:
 def is_positive_definite(m: HermitianMatrix, mode: str = "floating", tol: float = 1e-10) -> PositivityReport:
     """Decide positive definiteness of a Hermitian matrix.
 
-    mode="floating": LDL with largest-diagonal pivoting; all pivots above
+    mode="floating": LDL with largest-diagonal pivoting, on the stored
+    array E of a floating matrix (for build_q_matrix, the equilibrated
+    matrix, so the pivots are those of E); all pivots above
     tol * (largest diagonal entry) gives POSITIVE_DEFINITE, a pivot below
     the negated threshold gives NOT_POSITIVE_DEFINITE with the offending
     original index, and a pivot inside the band gives INDETERMINATE.  An
@@ -513,7 +560,8 @@ def max_uniform_scale(c: DiskCollection, tol: float = 1e-12) -> float:
     doubling guards against floating fuzz at that bound.  Returns the
     lower end of the final bracket, the largest scale at which the
     floating decision returned positive-definite (within tol of the
-    boundary), and inf for a single disk (always positive).
+    boundary, or one unit in the last place where that is wider), and
+    inf for a single disk (always positive).
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -545,6 +593,8 @@ def max_uniform_scale(c: DiskCollection, tol: float = 1e-12) -> float:
             raise RuntimeError("failed to bracket the scale from below")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent doubles wider apart than tol
         if positive(mid):
             lo = mid
         else:

@@ -69,6 +69,19 @@ class TestCheckCommand:
         assert code == 0
         assert json.loads(out)["max_uniform_scale"] == pytest.approx(math.sqrt(2), abs=1e-8)
 
+    def test_scale_flag_on_collinear_disks_far_apart(self, capsys, monkeypatch):
+        # Q overflows double range at every scale the bisection tries
+        doc = json.dumps(
+            {"disks": [{"center": [100.0 * k, 0.0], "radius": 10.0} for k in range(30)]}
+        )
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        code, out, err = run(["check", "-", "--scale", "--format", "json"], capsys)
+        assert code == 0
+        assert err == ""
+        payload = json.loads(out)
+        assert payload["verdict"] == "positive-definite"
+        assert math.isfinite(payload["max_uniform_scale"])
+
     def test_malformed_document_exits_two(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO('{"disks": []}'))
         code, out, err = run(["check", "-"], capsys)

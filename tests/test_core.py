@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import naive_q_entry, roots_of_unity
+from conftest import naive_q_entry, naive_q_matrix, roots_of_unity
 from diskpd.core import (
     DiskCollection,
     GaussianRational,
@@ -18,6 +18,8 @@ from diskpd.core import (
     max_uniform_scale,
     overlap_measure,
 )
+from diskpd.radius import maximal_radius
+from diskpd.symmetric import regular_collection
 
 
 class TestDiskCollection:
@@ -104,6 +106,18 @@ class TestBuildQMatrix:
                 for j in range(n):
                     want = naive_q_entry(centers, radii, i, j)
                     assert q.entry(i, j) == pytest.approx(want, rel=1e-11, abs=1e-11)
+            qn = q.to_numpy()
+            assert (qn == qn.conj().T).all()
+
+    def test_blocked_product_matches_naive_oracle(self):
+        # n = 40 multiplies the factors in several blocks of k
+        rng = random.Random(5)
+        centers = [complex(k % 8, k // 8) + complex(rng.uniform(-0.2, 0.2), 0) for k in range(40)]
+        radii = [rng.uniform(0.1, 0.3) for _ in range(40)]
+        qn = build_q_matrix(DiskCollection(centers, radii)).to_numpy()
+        want = np.array(naive_q_matrix(centers, radii))
+        assert np.abs(qn - want).max() <= 1e-12 * np.abs(want).max()
+        assert (qn == qn.conj().T).all()
 
 
 class TestAdmissibility:
@@ -200,13 +214,59 @@ class TestPositivity:
             assert is_positive_definite(q).verdict is Verdict.POSITIVE_DEFINITE
 
     @pytest.mark.parametrize("n", [30, 60])
-    def test_non_finite_entries_are_indeterminate(self, n):
+    def test_collinear_disks_far_apart_are_positive(self, n):
         # disjoint collinear disks, positive by scale invariance; at spacing
         # 100 their Q entries overflow (n = 30) or become NaN (n = 60)
         c = DiskCollection([100.0 * k for k in range(n)], [10.0] * n)
         report = is_positive_definite(build_q_matrix(c))
-        assert report.verdict is Verdict.INDETERMINATE
+        assert report.verdict is Verdict.POSITIVE_DEFINITE
+        assert len(report.pivots) == n
         assert all(math.isfinite(p) for p in report.pivots)
+
+    def test_large_shifted_polygon_past_rho_is_not_positive(self):
+        base = regular_collection(32, 1.05 * maximal_radius(32).rho)
+        c = DiskCollection(
+            [1e3 * z + complex(3e3, -2e3) for z in base.centers], [1e3 * r for r in base.radii]
+        )
+        assert is_positive_definite(build_q_matrix(c)).verdict is Verdict.NOT_POSITIVE_DEFINITE
+
+    def test_small_polygon_below_rho_is_positive(self):
+        base = regular_collection(64, 0.9 * maximal_radius(64).rho)
+        c = DiskCollection([1e-3 * z for z in base.centers], [1e-3 * r for r in base.radii])
+        assert is_positive_definite(build_q_matrix(c)).verdict is Verdict.POSITIVE_DEFINITE
+
+    def test_verdict_and_pivots_do_not_depend_on_the_scale(self):
+        base = regular_collection(32, 1.05 * maximal_radius(32).rho)
+        reports = [
+            is_positive_definite(
+                build_q_matrix(
+                    DiskCollection(
+                        [math.ldexp(1.0, k) * z for z in base.centers],
+                        [math.ldexp(r, k) for r in base.radii],
+                    )
+                )
+            )
+            for k in (0, -30, -7, 5, 30)
+        ]
+        assert reports[0].verdict is Verdict.NOT_POSITIVE_DEFINITE
+        assert all(r == reports[0] for r in reports[1:])
+
+    def test_tangent_center_gives_a_zero_diagonal(self):
+        # |a_1 - a_0| = R_0: Q_11 = 0 next to positive diagonal entries
+        q = build_q_matrix(DiskCollection([0.0, 2.0], [2.0, 1.0]))
+        assert q.entry(1, 1) == 0
+        assert is_positive_definite(q).verdict is Verdict.NOT_POSITIVE_DEFINITE
+
+    def test_coordinates_near_the_double_range(self):
+        # Q itself over- or underflows; its verdict is that of the unit-scale copy
+        base = regular_collection(8, 0.9 * maximal_radius(8).rho)
+        want = is_positive_definite(build_q_matrix(base))
+        for t in (1e-300, 1e300, 1e-310):
+            c = DiskCollection([t * z for z in base.centers], [t * r for r in base.radii])
+            got = is_positive_definite(build_q_matrix(c))
+            assert got.verdict is Verdict.POSITIVE_DEFINITE
+            if t > 1e-308:  # subnormal coordinates carry fewer digits
+                assert got.pivots == pytest.approx(want.pivots, rel=1e-12)
 
 
 class TestOverlapMeasure:
@@ -251,6 +311,11 @@ class TestMaxUniformScale:
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
             max_uniform_scale(DiskCollection([0, 2], [1, 1]), tol=-1)
+
+    def test_scale_far_above_one_terminates(self):
+        # the bisection midpoint stops falling strictly between adjacent doubles
+        s = max_uniform_scale(DiskCollection([0.0, 2.0], [1e-5, 1e-5]))
+        assert s == pytest.approx(2 / math.sqrt(2e-10), rel=1e-9)
 
 
 class TestHermitianMatrix:
