@@ -328,9 +328,10 @@ def build_q_matrix(c: DiskCollection) -> HermitianMatrix:
     each factor of the product is divided by s_ik s_jk, so E never leaves
     the double range, its diagonal E_ii = -prod_k sign(g_ik) is exactly
     +-1 (0 when some Q_ii = 0, where the vanishing factor stays unscaled),
-    and it is the same for every coordinate scale.  E is congruent to Q by
-    a positive diagonal, so definiteness is that of Q.  Both results are
-    Hermitian by construction.
+    and scaling all coordinates changes it only by rounding (by a power of
+    two, not at all).  E is congruent to Q by a positive diagonal, so
+    definiteness is that of Q.  Both results are Hermitian by
+    construction.
     """
     n = c.n
     if c.is_exact:
