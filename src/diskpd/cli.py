@@ -103,12 +103,24 @@ def parse_collection_document(text: str) -> tuple[DiskCollection, dict]:
     return collection, metadata
 
 
+def _minor_strings(minors) -> list[str]:
+    """Minors in full, past Python's int-to-str digit limit (lifted for this call only)."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit in this Python
+    if not limit:
+        return [str(m) for m in minors]
+    sys.set_int_max_str_digits(0)
+    try:
+        return [str(m) for m in minors]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _certificate_payload(report) -> dict:
     payload: dict = {"tolerance": report.tolerance_used}
     if report.pivots is not None:
         payload["pivots"] = list(report.pivots)
     if report.minors is not None:
-        payload["leading_minors"] = [str(m) for m in report.minors]
+        payload["leading_minors"] = _minor_strings(report.minors)
     if report.failing_index is not None:
         payload["failing_index"] = report.failing_index
     return payload
@@ -142,7 +154,15 @@ def cmd_check(args) -> int:
         print("error: exact mode needs rational centers and radii", file=sys.stderr)
         return EXIT_USAGE
 
-    matrix = build_q_matrix(collection)
+    source = collection
+    if mode == "floating" and collection.is_exact:
+        # the floating decision runs on E, which only a floating build makes
+        try:
+            source = DiskCollection(collection.centers, collection.radii)
+        except ValueError as exc:  # distinct rational centers, one double
+            print(f"error: disks: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+    matrix = build_q_matrix(source)
     report = is_positive_definite(matrix, mode=mode, tol=args.tol)
     beta = overlap_measure(collection) if collection.n >= 2 else None
     scale = max_uniform_scale(collection) if args.scale else None
@@ -169,7 +189,7 @@ def cmd_check(args) -> int:
         if report.pivots is not None:
             print(f"pivots:      {' '.join(_fmt(p) for p in report.pivots)}")
         if report.minors is not None:
-            print(f"minors:      {' '.join(str(m) for m in report.minors)}")
+            print(f"minors:      {' '.join(_minor_strings(report.minors))}")
         if report.failing_index is not None:
             print(f"failing idx: {report.failing_index}")
         if scale is not None:

@@ -47,31 +47,8 @@ class GaussianRational:
     re: Fraction
     im: Fraction = Fraction(0)
 
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
-
-    def abs2(self) -> Fraction:
-        """Exact squared modulus."""
-        return self.re * self.re + self.im * self.im
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
@@ -108,8 +85,6 @@ def _exact_center(value) -> GaussianRational | None:
 
 
 def _center_to_complex(value) -> complex:
-    if isinstance(value, GaussianRational):
-        return complex(value)
     if isinstance(value, tuple) and len(value) == 2:
         return complex(_to_float(value[0]), _to_float(value[1]))
     return complex(value)
@@ -119,6 +94,12 @@ def _to_float(value) -> float:
     if isinstance(value, str):
         return float(Fraction(value))
     return float(value)
+
+
+def _cleared(values: list[Fraction]) -> tuple[list[int], int]:
+    """The integers den * x for the Fractions x, den the lcm of their denominators."""
+    den = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 class DiskCollection:
@@ -162,16 +143,9 @@ class DiskCollection:
                 raise ValueError(f"radius {r!r} is not strictly positive")
             float_radii.append(x)
 
-        if is_exact:
-            seen = set()
-            for g in exact_centers:
-                key = (g.re, g.im)
-                if key in seen:
-                    raise ValueError("centers must be pairwise distinct")
-                seen.add(key)
-        else:
-            if len(set(float_centers)) != len(float_centers):
-                raise ValueError("centers must be pairwise distinct")
+        distinct = set(exact_centers if is_exact else float_centers)
+        if len(distinct) != len(centers):
+            raise ValueError("centers must be pairwise distinct")
 
         self.centers = tuple(float_centers)
         self.radii = tuple(float_radii)
@@ -195,15 +169,9 @@ class DiskCollection:
 
     def subcollection(self, indices) -> "DiskCollection":
         indices = tuple(indices)
-        if self.is_exact:
-            return DiskCollection(
-                tuple(self.exact_centers[i] for i in indices),
-                tuple(self.exact_radii[i] for i in indices),
-            )
-        return DiskCollection(
-            tuple(self.centers[i] for i in indices),
-            tuple(self.radii[i] for i in indices),
-        )
+        centers = self.exact_centers if self.is_exact else self.centers
+        radii = self.exact_radii if self.is_exact else self.radii
+        return DiskCollection([centers[i] for i in indices], [radii[i] for i in indices])
 
     def min_pairwise_distance(self) -> float:
         if self.n < 2:
@@ -226,10 +194,11 @@ class HermitianMatrix:
     floating matrix is held as one numpy array E with a vector of log
     scales l, and presents the matrix Q_ij = E_ij exp(l_i + l_j); matrices
     built from rows have l = 0.  Q entries beyond the double range read
-    as inf, with numpy's overflow warning.
+    as inf, with numpy's overflow warning.  An exact matrix is held as an
+    integer den > 0 and the upper triangle of den * Q as (re, im) int pairs.
     """
 
-    __slots__ = ("_rows", "_e", "_log_scale", "order", "is_exact")
+    __slots__ = ("_rows", "_e", "_log_scale", "_upper", "_den", "order", "is_exact")
 
     def __init__(self, rows):
         rows = tuple(tuple(row) for row in rows)
@@ -251,30 +220,41 @@ class HermitianMatrix:
                             f"matrix is not Hermitian at ({i},{j}): "
                             f"|difference| {diff:.3e} exceeds {_HERMITIAN_RTOL:.0e} relative"
                         )
-        self._rows = rows
-        self._e = None if exact else np.array(rows, dtype=complex)
-        self._log_scale = None if exact else np.zeros(n)
-        self.order = n
-        self.is_exact = exact
+        self._rows, self.order, self.is_exact = rows, n, exact
+        self._e = self._log_scale = self._upper = self._den = None
+        if exact:
+            upper = [row[i:] for i, row in enumerate(rows)]
+            ints, self._den = _cleared([x for row in upper for g in row for x in (g.re, g.im)])
+            pairs = iter(zip(ints[::2], ints[1::2]))
+            self._upper = [[next(pairs) for _ in row] for row in upper]
+        else:
+            self._e, self._log_scale = np.array(rows, dtype=complex), np.zeros(n)
 
     @classmethod
-    def _equilibrated(cls, e: np.ndarray, log_scale: np.ndarray) -> "HermitianMatrix":
-        """Floating matrix Q = diag(exp(l)) E diag(exp(l)) from an exactly
-        Hermitian E; no symmetry scan."""
+    def _built(cls, e=None, log_scale=None, upper=None, den=None) -> "HermitianMatrix":
+        """Matrix with no symmetry scan: floating Q = diag(exp(l)) E diag(exp(l))
+        from an exactly Hermitian E, or exact Q = U / den from the upper
+        triangle U of a Gaussian-integer matrix with a real diagonal."""
         m = cls.__new__(cls)
-        m._rows = None
-        m._e = e
-        m._log_scale = log_scale
-        m.order = len(e)
-        m.is_exact = False
+        m._rows, m._e, m._log_scale, m._upper, m._den = None, e, log_scale, upper, den
+        m.is_exact = upper is not None
+        m.order = len(upper if m.is_exact else e)
         return m
 
     @property
     def rows(self) -> tuple[tuple, ...]:
-        """Entries as nested tuples (of Q, made on first use, for a built
-        floating matrix)."""
+        """Entries of Q as nested tuples, made on first use for a built matrix."""
         if self._rows is None:
-            self._rows = tuple(map(tuple, self.to_numpy().tolist()))
+            if self.is_exact:
+                n, d = self.order, self._den
+                u = [[GaussianRational(Fraction(x, d), Fraction(y, d)) for x, y in row]
+                     for row in self._upper]
+                self._rows = tuple(
+                    tuple(u[i][j - i] if i <= j else u[j][i - j].conjugate() for j in range(n))
+                    for i in range(n)
+                )
+            else:
+                self._rows = tuple(map(tuple, self.to_numpy().tolist()))
         return self._rows
 
     def entry(self, i: int, j: int):
@@ -282,7 +262,7 @@ class HermitianMatrix:
 
     def to_numpy(self) -> np.ndarray:
         if self.is_exact:
-            return np.array([[complex(e) for e in row] for row in self._rows], dtype=complex)
+            return np.array([[complex(e) for e in row] for row in self.rows], dtype=complex)
         return self._e * np.exp(self._log_scale[:, None] + self._log_scale)
 
     def eigenvalues(self) -> tuple[float, ...]:
@@ -304,8 +284,8 @@ class PositivityReport:
     """Decision plus a machine-checkable certificate.
 
     Floating mode certifies with the LDL pivot sequence (and the original
-    index of the offending diagonal on failure); exact mode certifies
-    with the exact leading principal minors.
+    index of the offending diagonal on failure); exact mode with the exact
+    leading principal minors, which end at the first zero one.
     """
 
     verdict: Verdict
@@ -322,9 +302,10 @@ class PositivityReport:
 def build_q_matrix(c: DiskCollection) -> HermitianMatrix:
     """Q matrix of a disk collection: Q_ij = -prod_k[(a_i-a_k)conj(a_j-a_k) - R_k^2].
 
-    Exact Gaussian-rational entries when the collection is exact.  A
-    floating collection gets the equilibrated matrix E = D^-1 Q D^-1 with
-    D_i = prod_k s_ik and s_ik = sqrt|g_ik|, g_ik = |a_i-a_k|^2 - R_k^2:
+    An exact collection's Q is held as the Gaussian-integer matrix L^(2n) Q,
+    L the lcm of all center and radius denominators.  A floating collection
+    gets the equilibrated matrix E = D^-1 Q D^-1 with D_i = prod_k s_ik
+    and s_ik = sqrt|g_ik|, g_ik = |a_i-a_k|^2 - R_k^2:
     each factor of the product is divided by s_ik s_jk, so E never leaves
     the double range, its diagonal E_ii = -prod_k sign(g_ik) is exactly
     +-1 (0 when some Q_ii = 0, where the vanishing factor stays unscaled),
@@ -335,22 +316,21 @@ def build_q_matrix(c: DiskCollection) -> HermitianMatrix:
     """
     n = c.n
     if c.is_exact:
-        a = c.exact_centers
-        r2 = [r * r for r in c.exact_radii]
-        rows = [[None] * n for _ in range(n)]
+        # clear every denominator: with L a and L R the factors are Gaussian
+        # integers, each L^2 times the factor of Q, so the product is L^(2n) Q
+        ints, lcm = _cleared([*(v for z in c.exact_centers for v in (z.re, z.im)), *c.exact_radii])
+        x, y, r2 = ints[0 : 2 * n : 2], ints[1 : 2 * n : 2], [r * r for r in ints[2 * n :]]
+        upper = [[None] * (n - i) for i in range(n)]
         for i in range(n):
             for j in range(i, n):
-                prod = GaussianRational(Fraction(1))
-                for k in range(n):
-                    prod = prod * ((a[i] - a[k]) * (a[j] - a[k]).conjugate() - GaussianRational(r2[k]))
-                entry = -prod
-                if i == j:
-                    assert entry.is_real
-                    rows[i][i] = GaussianRational(entry.re)
-                else:
-                    rows[i][j] = entry
-                    rows[j][i] = entry.conjugate()
-        return HermitianMatrix(rows)
+                re, im = -1, 0
+                for xk, yk, rk in zip(x, y, r2):
+                    # factor u conj(v) - R_k^2, u = a_i - a_k, v = a_j - a_k
+                    ur, ui, vr, vi = x[i] - xk, y[i] - yk, x[j] - xk, y[j] - yk
+                    fr, fi = ur * vr + ui * vi - rk, ui * vr - ur * vi
+                    re, im = re * fr - im * fi, re * fi + im * fr
+                upper[i][j - i] = (re, im)
+        return HermitianMatrix._built(upper=upper, den=lcm ** (2 * n))
 
     # One power of two brings the largest input into [1/2, 1): exact, so E
     # is unchanged, and no square below can overflow or underflow.  (Inputs
@@ -383,7 +363,7 @@ def build_q_matrix(c: DiskCollection) -> HermitianMatrix:
     h = e.conj().T
     h += e
     h *= -0.5
-    return HermitianMatrix._equilibrated(h, log_scale)
+    return HermitianMatrix._built(h, log_scale)
 
 
 def is_admissible(c: DiskCollection) -> bool:
@@ -394,10 +374,10 @@ def is_admissible(c: DiskCollection) -> bool:
     """
     n = c.n
     if c.is_exact:
-        r2 = [r * r for r in c.exact_radii]
+        a, r2 = c.exact_centers, [r * r for r in c.exact_radii]
         for k in range(n):
             for j in range(n):
-                if j != k and (c.exact_centers[j] - c.exact_centers[k]).abs2() <= r2[k]:
+                if j != k and (a[j].re - a[k].re) ** 2 + (a[j].im - a[k].im) ** 2 <= r2[k]:
                     return False
         return True
     for k in range(n):
@@ -485,43 +465,42 @@ def _decide_floating(m: HermitianMatrix, tol: float) -> PositivityReport:
     )
 
 
-def _exact_leading_minor(rows, k: int) -> Fraction:
-    """Determinant of the leading k x k block by Gaussian elimination."""
-    a = [[rows[i][j] for j in range(k)] for i in range(k)]
-    det = GaussianRational(Fraction(1))
-    sign = 1
-    for col in range(k):
-        pivot_row = None
-        for r in range(col, k):
-            if a[r][col].re != 0 or a[r][col].im != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            sign = -sign
-        pivot = a[col][col]
-        det = det * pivot
-        inv_norm = pivot.abs2()
-        inv = GaussianRational(pivot.re / inv_norm, -pivot.im / inv_norm)
-        for r in range(col + 1, k):
-            factor = a[r][col] * inv
-            if factor.re == 0 and factor.im == 0:
-                continue
-            for s in range(col, k):
-                a[r][s] = a[r][s] - factor * a[col][s]
-    if not det.is_real:
-        raise ArithmeticError("Hermitian leading minor must be real")
-    return sign * det.re
+def _div(x: int, d: int) -> int:
+    """x / d, which must be exact."""
+    q, r = divmod(x, d)
+    if r:
+        raise ArithmeticError("fraction-free elimination left a remainder")
+    return q
 
 
 def _decide_exact(m: HermitianMatrix) -> PositivityReport:
-    minors = tuple(_exact_leading_minor(m.rows, k) for k in range(1, m.order + 1))
+    """Leading minors of Q = U / den by one fraction-free (Bareiss) pass on U.
+
+    Step k divides a_ij <- p a_ij - conj(a_ki) a_kj exactly by the previous
+    pivot; the pivot p = a_kk is leading minor k+1 of U, real as U stays
+    Hermitian, so only the upper triangle is kept.  A zero minor, the next
+    divisor, ends the pass and the certificate."""
+    a = list(m._upper)
+    minors = []
+    prev = 1
+    for k, pivot_row in enumerate(a):
+        p, p_im = pivot_row[0]
+        if p_im:
+            raise ArithmeticError("Hermitian leading minor must be real")
+        minors.append(Fraction(p, m._den ** (k + 1)))
+        if p == 0:
+            break
+        for i in range(k + 1, m.order):
+            ur, ui = pivot_row[i - k]
+            a[i] = [
+                (_div(p * xr - ur * vr - ui * vi, prev), _div(p * xi - ur * vi + ui * vr, prev))
+                for (xr, xi), (vr, vi) in zip(a[i], pivot_row[i - k :])
+            ]
+        prev = p
     failing = next((k for k, d in enumerate(minors) if d <= 0), None)
     verdict = Verdict.POSITIVE_DEFINITE if failing is None else Verdict.NOT_POSITIVE_DEFINITE
     return PositivityReport(
-        verdict=verdict, tolerance_used=0.0, minors=minors, failing_index=failing
+        verdict=verdict, tolerance_used=0.0, minors=tuple(minors), failing_index=failing
     )
 
 
@@ -537,8 +516,9 @@ def is_positive_definite(m: HermitianMatrix, mode: str = "floating", tol: float 
     overflowed or NaN diagonal entry met during the elimination also gives
     INDETERMINATE, certified by the finite pivots taken before it.
 
-    mode="exact": exact rational leading principal minors (Sylvester);
-    only available when the matrix carries Gaussian rational entries.
+    mode="exact": Sylvester's criterion on the leading principal minors from
+    one fraction-free (Bareiss) elimination of the integer matrix den * Q,
+    which a zero minor ends; needs Gaussian rational entries.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import sys
 
 import pytest
 
@@ -81,6 +82,50 @@ class TestCheckCommand:
         payload = json.loads(out)
         assert payload["verdict"] == "positive-definite"
         assert math.isfinite(payload["max_uniform_scale"])
+
+    def test_json_minors_beyond_the_int_to_str_limit(self, capsys, monkeypatch):
+        # the largest exact minor of these 30 integer disks has 5,073 digits
+        doc = json.dumps({"disks": [{"center": [100 * k, 0], "radius": 10} for k in range(30)]})
+        limit = sys.get_int_max_str_digits()
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        code, out, err = run(["check", "-", "--format", "json"], capsys)
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        payload = json.loads(out)
+        assert payload["verdict"] == "positive-definite"
+        minors = payload["certificate"]["leading_minors"]
+        assert len(minors) == 30
+        assert max(map(len, minors)) > limit
+
+    def test_text_minors_beyond_the_int_to_str_limit(self, capsys, monkeypatch):
+        doc = json.dumps(
+            {"disks": [{"center": [10**25 * k, 0], "radius": 10**24} for k in range(10)]}
+        )
+        limit = sys.get_int_max_str_digits()
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        code, out, err = run(["check", "-"], capsys)
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        minors = next(line for line in out.splitlines() if line.startswith("minors:")).split()[1:]
+        assert len(minors) == 10
+        assert max(map(len, minors)) > limit
+
+    def test_floating_mode_on_rational_input_decides_on_e(self, capsys, monkeypatch):
+        # the unequilibrated Q of these disks overflows; E is that of the
+        # same document written with float values
+        def check(value):
+            doc = json.dumps(
+                {"disks": [{"center": [value(100 * k), 0], "radius": value(10)} for k in range(30)]}
+            )
+            monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+            code, out, err = run(["check", "-", "--mode", "floating", "--format", "json"], capsys)
+            assert (code, err) == (0, "")
+            return json.loads(out)
+
+        rational, floating = check(int), check(float)
+        assert rational["exact_input"] and not floating["exact_input"]
+        assert rational["verdict"] == "positive-definite"
+        assert rational["certificate"] == floating["certificate"]
 
     def test_malformed_document_exits_two(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO('{"disks": []}'))

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -20,6 +21,47 @@ from diskpd.core import (
 )
 from diskpd.radius import maximal_radius
 from diskpd.symmetric import regular_collection
+
+
+def fraction_q(centers, radii):
+    """Q from its definition, entries as (re, im) Fraction pairs."""
+    def mul(a, b):
+        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+    n = len(centers)
+    q = [[None] * n for _ in range(n)]
+    for i, j in itertools.product(range(n), repeat=2):
+        prod = (Fraction(-1), Fraction(0))
+        for (xk, yk), rk in zip(centers, radii):
+            u = (centers[i][0] - xk, centers[i][1] - yk)
+            v = (centers[j][0] - xk, -(centers[j][1] - yk))
+            f = mul(u, v)
+            prod = mul(prod, (f[0] - rk * rk, f[1]))
+        q[i][j] = prod
+    return q
+
+
+def leibniz_minors(q):
+    """Leading principal minors of a matrix of (re, im) Fraction pairs, each
+    a sum over permutations."""
+    minors = []
+    for k in range(1, len(q) + 1):
+        re = im = Fraction(0)
+        for perm in itertools.permutations(range(k)):
+            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+            tr, ti = Fraction((-1) ** inversions), Fraction(0)
+            for i, j in enumerate(perm):
+                er, ei = q[i][j]
+                tr, ti = tr * er - ti * ei, tr * ei + ti * er
+            re, im = re + tr, im + ti
+        assert im == 0
+        minors.append(re)
+    return minors
+
+
+def certificate_of(minors):
+    """The certificate ends at the first zero minor."""
+    return tuple(minors[: minors.index(0) + 1] if 0 in minors else minors)
 
 
 class TestDiskCollection:
@@ -267,6 +309,99 @@ class TestPositivity:
             assert got.verdict is Verdict.POSITIVE_DEFINITE
             if t > 1e-308:  # subnormal coordinates carry fewer digits
                 assert got.pivots == pytest.approx(want.pivots, rel=1e-12)
+
+
+class TestExactDecision:
+    def test_minors_match_an_independent_determinant(self):
+        rng = random.Random(4)
+        verdicts = set()
+        for _ in range(16):
+            n = rng.randint(2, 6)
+            centers = []
+            while len(centers) < n:
+                z = tuple(Fraction(rng.randint(-12, 12), rng.randint(1, 5)) for _ in range(2))
+                if z not in centers:
+                    centers.append(z)
+            radii = [Fraction(rng.randint(1, 12), rng.choice([2, 3, 4, 6])) for _ in range(n)]
+            q = build_q_matrix(DiskCollection(centers, radii))
+            want = fraction_q(centers, radii)
+            assert q.rows == tuple(tuple(GaussianRational(*e) for e in row) for row in want)
+            report = is_positive_definite(q, mode="exact")
+            assert report.minors == certificate_of(leibniz_minors(want))
+            failing = next((k for k, d in enumerate(report.minors) if d <= 0), None)
+            assert report.failing_index == failing
+            assert report.is_positive is (failing is None)
+            verdicts.add(report.verdict)
+        assert verdicts == {Verdict.POSITIVE_DEFINITE, Verdict.NOT_POSITIVE_DEFINITE}
+
+    @pytest.mark.parametrize(
+        "upper",
+        [
+            # positive definite, then not: Gaussian-rational entries off the diagonal
+            [["2", ("1/2", "-1/3"), ("-5/7", "3/4")], ["3/4", ("1/6", "2/9")], ["5/3"]],
+            [["2", ("1/2", "-1/3"), ("-5/7", "3/4")], ["3/4", ("1/6", "2/9")], ["1/5"]],
+            # a zero minor of order two
+            [["1", "1", ("0", "1/2")], ["1", "0"], ["1"]],
+        ],
+    )
+    def test_matrix_from_gaussian_rational_rows(self, upper):
+        def entry(value):
+            re, im = value if isinstance(value, tuple) else (value, "0")
+            return (Fraction(re), Fraction(im))
+
+        n = len(upper)
+        q = [[None] * n for _ in range(n)]
+        for i, row in enumerate(upper):
+            for j, value in enumerate(row, start=i):
+                re, im = entry(value)
+                q[i][j], q[j][i] = (re, im), (re, -im)
+        m = HermitianMatrix([[GaussianRational(*e) for e in row] for row in q])
+        assert m.is_exact
+        report = is_positive_definite(m, mode="exact")
+        assert report.minors == certificate_of(leibniz_minors(q))
+        assert report.verdict is (
+            Verdict.POSITIVE_DEFINITE if all(d > 0 for d in report.minors)
+            else Verdict.NOT_POSITIVE_DEFINITE
+        )
+
+    def test_zero_minor_ends_the_certificate(self):
+        # |a_1 - a_0| = R_1, so Q_00 = 0
+        report = is_positive_definite(build_q_matrix(DiskCollection([0, 2], [1, 2])), mode="exact")
+        assert report.verdict is Verdict.NOT_POSITIVE_DEFINITE
+        assert report.minors == (0,)
+        assert report.failing_index == 0
+
+    def test_floating_verdict_agrees_with_exact_on_the_same_values(self):
+        # every double is a dyadic rational, so the exact decision on
+        # Fraction(x) decides the floating input itself
+        rng = random.Random(8)
+        verdicts = set()
+        for trial in range(30):
+            n = rng.randint(2, 12)
+            if trial % 2:
+                base = regular_collection(n, maximal_radius(n).rho * rng.choice([0.97, 1.03]))
+                centers, radii = list(base.centers), list(base.radii)
+            else:
+                centers = []
+                while len(centers) < n:
+                    z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                    if all(abs(z - w) > 0.3 for w in centers):
+                        centers.append(z)
+                dmin = min(abs(z - w) for z, w in itertools.combinations(centers, 2))
+                radii = [dmin * rng.uniform(0.3, 0.8) for _ in range(n)]
+            t = math.ldexp(rng.uniform(1, 2), rng.randint(-30, 30))
+            c = DiskCollection([t * z for z in centers], [t * r for r in radii])
+            floating = is_positive_definite(build_q_matrix(c)).verdict
+            if floating is Verdict.INDETERMINATE:
+                continue
+            exact = DiskCollection(
+                [(Fraction(z.real), Fraction(z.imag)) for z in c.centers],
+                [Fraction(r) for r in c.radii],
+            )
+            assert (exact.centers, exact.radii) == (c.centers, c.radii)
+            assert is_positive_definite(build_q_matrix(exact), mode="exact").verdict is floating
+            verdicts.add(floating)
+        assert verdicts == {Verdict.POSITIVE_DEFINITE, Verdict.NOT_POSITIVE_DEFINITE}
 
 
 class TestOverlapMeasure:
