@@ -102,6 +102,14 @@ def _cleared(values: list[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
+def _cleared_collection(c: DiskCollection) -> tuple[list[int], list[int], list[int], int]:
+    """(x, y, r, L) with L a_k = x_k + i y_k and L R_k = r_k all integers,
+    L the lcm of every center and radius denominator of an exact collection."""
+    n = c.n
+    ints, lcm = _cleared([*(v for z in c.exact_centers for v in (z.re, z.im)), *c.exact_radii])
+    return ints[0 : 2 * n : 2], ints[1 : 2 * n : 2], ints[2 * n :], lcm
+
+
 class DiskCollection:
     """An ordered collection of open disks B(a_j, R_j), n >= 1.
 
@@ -318,8 +326,8 @@ def build_q_matrix(c: DiskCollection) -> HermitianMatrix:
     if c.is_exact:
         # clear every denominator: with L a and L R the factors are Gaussian
         # integers, each L^2 times the factor of Q, so the product is L^(2n) Q
-        ints, lcm = _cleared([*(v for z in c.exact_centers for v in (z.re, z.im)), *c.exact_radii])
-        x, y, r2 = ints[0 : 2 * n : 2], ints[1 : 2 * n : 2], [r * r for r in ints[2 * n :]]
+        x, y, r, lcm = _cleared_collection(c)
+        r2 = [rk * rk for rk in r]
         upper = [[None] * (n - i) for i in range(n)]
         for i in range(n):
             for j in range(i, n):
@@ -370,14 +378,16 @@ def is_admissible(c: DiskCollection) -> bool:
     """True iff every radius is smaller than every distance to the other centers.
 
     Strict inequality R_k < |a_j - a_k| for all j != k; decided exactly
-    (on squared quantities) for exact collections.
+    for exact collections, on squared quantities of the cleared integers
+    L a and L R (scaling by L^2 keeps every comparison).
     """
     n = c.n
     if c.is_exact:
-        a, r2 = c.exact_centers, [r * r for r in c.exact_radii]
-        for k in range(n):
-            for j in range(n):
-                if j != k and (a[j].re - a[k].re) ** 2 + (a[j].im - a[k].im) ** 2 <= r2[k]:
+        x, y, r, _ = _cleared_collection(c)
+        for k, (xk, yk, rk) in enumerate(zip(x, y, r)):
+            r2 = rk * rk
+            for j, (xj, yj) in enumerate(zip(x, y)):
+                if j != k and (xj - xk) ** 2 + (yj - yk) ** 2 <= r2:
                     return False
         return True
     for k in range(n):
@@ -540,9 +550,9 @@ def max_uniform_scale(c: DiskCollection, tol: float = 1e-12) -> float:
     |a_i - a_j|^2, which every pair subcollection must satisfy; growth by
     doubling guards against floating fuzz at that bound.  Returns the
     lower end of the final bracket, the largest scale at which the
-    floating decision returned positive-definite (within tol of the
-    boundary, or one unit in the last place where that is wider), and
-    inf for a single disk (always positive).
+    floating decision returned positive-definite (within tol * min(1, s)
+    of the boundary s, so relative below 1, or one unit in the last place
+    where that is wider), and inf for a single disk (always positive).
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -572,7 +582,7 @@ def max_uniform_scale(c: DiskCollection, tol: float = 1e-12) -> float:
         shrink += 1
         if shrink > 200:
             raise RuntimeError("failed to bracket the scale from below")
-    while hi - lo > tol:
+    while hi - lo > tol * min(1.0, hi):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break  # lo and hi are adjacent doubles wider apart than tol

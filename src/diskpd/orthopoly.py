@@ -451,6 +451,35 @@ def _refine_interval(cs, chain, a, b, width: Fraction):
     return a, b, None
 
 
+def _smallest_root(p: RationalPolynomial, lo: Fraction, hi: Fraction, width: Fraction):
+    """Interval (a, b] of width <= width around the smallest root of p in
+    (lo, hi], or None when there is none.
+
+    Sturm counts of the square-free part steer one descent of the dyadic
+    bisection tree of _isolate_on, into the left half whenever it holds a
+    root, so the interval is the first that isolate_real_roots gives for a
+    square-free p; only that root is refined.
+    """
+    f = p.monic()
+    g = f.gcd(f.derivative())
+    if g.degree > 0:
+        f = f.exact_div(g)
+    cs = _poly_to_int(f)
+    chain = _sturm_chain(cs)
+    va, vb = _variations_at(chain, lo), _variations_at(chain, hi)
+    if va <= vb:
+        return None
+    while va - vb > 1:
+        mid = (lo + hi) / 2
+        vm = _variations_at(chain, mid)
+        if va > vm:
+            hi, vb = mid, vm
+        else:
+            lo, va = mid, vm
+    a, b, _ = _refine_interval(cs, chain, lo, hi, width)
+    return a, b
+
+
 def isolate_real_roots(p: RationalPolynomial, bounds=None, precision: float = 1e-9) -> RootIsolation:
     """Isolate all real roots of p in the half-open range (lo, hi].
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .orthopoly import RationalPolynomial, isolate_real_roots, _reversed_hypergeometric_polynomial
+from .orthopoly import RationalPolynomial, _reversed_hypergeometric_polynomial, _smallest_root
 
 __all__ = [
     "RadiusResult",
@@ -82,9 +82,9 @@ def maximal_radius(n: int, precision: float = 1e-13) -> RadiusResult:
     n = 2 and n = 3 are the closed cases sqrt(2) and 1.  For n >= 4 the
     central polynomial is built exactly, the known factor (z+1) is divided
     out as often as it occurs, and the smallest remaining root in (-1, 0]
-    is isolated by Sturm sequences and refined to the requested interval
-    width.  Raises if no such root exists (the structure of the central
-    polynomial guarantees one).
+    is isolated by bisection on Sturm counts and refined to the requested
+    interval width; the other roots are left alone.  Raises if no such
+    root exists (the structure of the central polynomial guarantees one).
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -112,12 +112,12 @@ def maximal_radius(n: int, precision: float = 1e-13) -> RadiusResult:
     z_plus_1 = RationalPolynomial((1, 1))
     while poly(-1) == 0:
         poly = poly.exact_div(z_plus_1)
-    isolation = isolate_real_roots(poly, (Fraction(-1), Fraction(0)), precision)
-    if not isolation.intervals:
+    interval = _smallest_root(poly, Fraction(-1), Fraction(0), Fraction(precision))
+    if interval is None:
         raise ArithmeticError(
             f"internal inconsistency: central polynomial for n={n} has no root in (-1, 0]"
         )
-    a, b, _ = isolation.intervals[0]
+    a, b = interval
     mu_exact = (a + b) / 2
     rho = math.sqrt(float(1 + mu_exact))
     return RadiusResult(

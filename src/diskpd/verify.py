@@ -88,6 +88,18 @@ def _naive_q_entry(c: DiskCollection, i: int, j: int) -> complex:
     return -prod
 
 
+def _exact_q_entry(c: DiskCollection, i: int, j: int) -> core.GaussianRational:
+    """Q_ij of an exact collection from the definition, in Fraction arithmetic."""
+    a = c.exact_centers
+    re, im = Fraction(-1), Fraction(0)
+    for ak, rk in zip(a, c.exact_radii):
+        # factor (a_i - a_k) conj(a_j - a_k) - R_k^2
+        ur, ui, vr, vi = a[i].re - ak.re, a[i].im - ak.im, a[j].re - ak.re, a[j].im - ak.im
+        fr, fi = ur * vr + ui * vi - rk * rk, ui * vr - ur * vi
+        re, im = re * fr - im * fi, re * fi + im * fr
+    return core.GaussianRational(re, im)
+
+
 def core_suite(seed: int = 0, samples: int = 200, nmax: int = 8) -> list[CheckResult]:
     rng = random.Random(seed)
     out = []
@@ -111,6 +123,7 @@ def core_suite(seed: int = 0, samples: int = 200, nmax: int = 8) -> list[CheckRe
             break
     out.append(CheckResult("core.hermitian-symmetry", bad is None, bad or ""))
 
+    # exact Q, both triangles, against the definition in Fraction arithmetic
     exact_ok = True
     for _ in range(20):
         n = rng.randint(1, 5)
@@ -120,10 +133,11 @@ def core_suite(seed: int = 0, samples: int = 200, nmax: int = 8) -> list[CheckRe
             if cand not in centers:
                 centers.append(cand)
         radii = [Fraction(rng.randint(1, 8), 8) for _ in range(n)]
-        q = core.build_q_matrix(DiskCollection(centers, radii))
+        c = DiskCollection(centers, radii)
+        q = core.build_q_matrix(c)
         for i in range(n):
             for j in range(n):
-                if q.entry(i, j) != q.entry(j, i).conjugate():
+                if q.entry(i, j) != _exact_q_entry(c, i, j):
                     exact_ok = False
     out.append(CheckResult("core.hermitian-exact", exact_ok))
 

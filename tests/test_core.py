@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import naive_q_entry, naive_q_matrix, roots_of_unity
+from diskpd import core
 from diskpd.core import (
     DiskCollection,
     GaussianRational,
@@ -21,6 +22,7 @@ from diskpd.core import (
 )
 from diskpd.radius import maximal_radius
 from diskpd.symmetric import regular_collection
+from diskpd.verify import core_suite
 
 
 def fraction_q(centers, radii):
@@ -170,6 +172,15 @@ class TestAdmissibility:
         centers = roots_of_unity(3)
         assert is_admissible(DiskCollection(centers, [1.7] * 3))
         assert not is_admissible(DiskCollection(centers, [1.8] * 3))
+
+    def test_exact_boundary_with_rational_input(self):
+        # |a_2 - a_1| = 5/7 exactly, on a 3-4-5 triangle
+        centers = [(0, 0), (Fraction(3, 7), Fraction(4, 7))]
+        assert not is_admissible(DiskCollection(centers, [Fraction(5, 7), Fraction(1, 9)]))
+        just_inside = Fraction(5, 7) - Fraction(1, 10**30)
+        assert is_admissible(DiskCollection(centers, [just_inside, Fraction(1, 9)]))
+        assert is_admissible(DiskCollection(centers, [Fraction(1, 9), just_inside]))
+        assert not is_admissible(DiskCollection(centers, [Fraction(1, 9), "5/7"]))
 
     def test_single_disk_is_admissible(self):
         assert is_admissible(DiskCollection([5], [3]))
@@ -452,6 +463,10 @@ class TestMaxUniformScale:
         s = max_uniform_scale(DiskCollection([0.0, 2.0], [1e-5, 1e-5]))
         assert s == pytest.approx(2 / math.sqrt(2e-10), rel=1e-9)
 
+    def test_scale_far_below_one_is_bracketed_relatively(self):
+        s = max_uniform_scale(DiskCollection([0.0, 2.0], [1e11, 1e11]))
+        assert s == pytest.approx(2 / math.sqrt(2e22), rel=1e-9, abs=0)
+
 
 class TestHermitianMatrix:
     def test_eigenvalues_match_numpy(self):
@@ -464,3 +479,20 @@ class TestHermitianMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             HermitianMatrix([[1.0, 2.0]])
+
+
+def test_hermitian_exact_check_catches_a_perturbed_entry(monkeypatch):
+    build = core.build_q_matrix
+
+    def perturbed(c):
+        q = build(c)
+        if not q.is_exact or q.order < 2:
+            return q
+        upper = [list(row) for row in q._upper]
+        re, im = upper[0][1]
+        upper[0][1] = (re + 1, im)
+        return HermitianMatrix._built(upper=upper, den=q._den)
+
+    monkeypatch.setattr(core, "build_q_matrix", perturbed)
+    checks = {check.name: check.passed for check in core_suite(seed=0, samples=2)}
+    assert checks["core.hermitian-exact"] is False

@@ -13,6 +13,7 @@ from diskpd.orthopoly import (
     jacobi_polynomial,
     pochhammer,
     _reversed_hypergeometric_polynomial,
+    _smallest_root,
     squarefree_decomposition,
     v_identity_suite,
     v_polynomial,
@@ -297,6 +298,56 @@ class TestRootIsolation:
             assert len(real) == iso.count_with_multiplicity
             for want, got in zip(real, iso.refined):
                 assert got == pytest.approx(want, abs=1e-6)
+
+
+def _reduced_central(n):
+    """Central polynomial of n with every factor z + 1 divided out."""
+    poly = central_polynomial(n)
+    while poly(-1) == 0:
+        poly = poly.exact_div(RationalPolynomial([1, 1]))
+    return poly
+
+
+def _poly_with_roots(*roots):
+    p = RationalPolynomial([1])
+    for r in roots:
+        p = p * RationalPolynomial([-Fraction(r), 1])
+    return p
+
+
+class TestSmallestRoot:
+    WIDTH = Fraction(1e-13)
+
+    @pytest.mark.parametrize("n", [*range(4, 65), 128])
+    def test_first_isolated_interval_of_the_central_polynomial(self, n):
+        poly = _reduced_central(n)
+        bounds = (Fraction(-1), Fraction(0))
+        first = isolate_real_roots(poly, bounds, 1e-13).intervals[0][:2]
+        assert _smallest_root(poly, *bounds, self.WIDTH) == first
+
+    @pytest.mark.parametrize("root", [Fraction(-1, 2), Fraction(-3, 4)])
+    def test_root_on_a_bisection_point(self, root):
+        p = _poly_with_roots(root, Fraction(-1, 8), Fraction(1, 3))
+        a, b = _smallest_root(p, Fraction(-1), Fraction(0), self.WIDTH)
+        assert a < root <= b and b - a <= self.WIDTH
+        first = isolate_real_roots(p, (-1, 0), 1e-13).intervals[0][:2]
+        assert (a, b) == first
+
+    def test_root_at_the_included_upper_end(self):
+        p = _poly_with_roots(0, 1, -2)
+        a, b = _smallest_root(p, Fraction(-1), Fraction(0), self.WIDTH)
+        assert a < 0 == b and b - a <= self.WIDTH
+
+    def test_no_root_in_range(self):
+        assert _smallest_root(RationalPolynomial([1, 0, 1]), Fraction(-1), Fraction(0), self.WIDTH) is None
+        # -1 is outside the half-open range (-1, 0], 1 beyond it
+        assert _smallest_root(_poly_with_roots(-1, 1), Fraction(-1), Fraction(0), self.WIDTH) is None
+
+    def test_repeated_smallest_root(self):
+        root = Fraction(-1, 3)
+        p = _poly_with_roots(root, root, Fraction(-1, 5))
+        a, b = _smallest_root(p, Fraction(-1), Fraction(0), self.WIDTH)
+        assert a < root <= b and b - a <= self.WIDTH
 
 
 class TestZeroStructure:

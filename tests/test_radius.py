@@ -42,6 +42,12 @@ class TestMaximalRadius:
         lo, hi = res.isolating_interval
         assert hi - lo <= Fraction(1, 10**19)
 
+    def test_pinned_interval_for_256(self):
+        assert maximal_radius(256).isolating_interval == (
+            Fraction(-4397061294309, 2**42),
+            Fraction(-17588245177235, 2**44),
+        )
+
     def test_validation(self):
         with pytest.raises(ValueError):
             maximal_radius(1)
