@@ -155,13 +155,16 @@ def cmd_check(args) -> int:
         return EXIT_USAGE
 
     source = collection
-    if mode == "floating" and collection.is_exact:
-        # the floating decision runs on E, which only a floating build makes
+    if collection.is_exact:
+        # beta and --scale read the float values, and the floating decision
+        # runs on E, which only a floating build makes
         try:
-            source = DiskCollection(collection.centers, collection.radii)
+            floating = DiskCollection(collection.centers, collection.radii)
         except ValueError as exc:  # distinct rational centers, one double
             print(f"error: disks: {exc}", file=sys.stderr)
             return EXIT_USAGE
+        if mode == "floating":
+            source = floating
     matrix = build_q_matrix(source)
     report = is_positive_definite(matrix, mode=mode, tol=args.tol)
     beta = overlap_measure(collection) if collection.n >= 2 else None

@@ -340,38 +340,57 @@ def build_q_matrix(c: DiskCollection) -> HermitianMatrix:
                 upper[i][j - i] = (re, im)
         return HermitianMatrix._built(upper=upper, den=lcm ** (2 * n))
 
-    # One power of two brings the largest input into [1/2, 1): exact, so E
-    # is unchanged, and no square below can overflow or underflow.  (Inputs
-    # all below 2^-1000 are subnormal; 2^1000 is as far as they need to go.)
-    shift = max(math.frexp(max(max(map(abs, c.centers)), max(c.radii)))[1], -1000)
-    unit = math.ldexp(1.0, -shift)
-    a = np.array([z * unit for z in c.centers])
-    r2 = np.array([(r * unit) ** 2 for r in c.radii])
-    d = a - a[:, None]  # d[k, i] = a_i - a_k
-    # multiply the factors of k-blocks in turn: an n^3 temporary would not
-    # stay small
+    e, log_scale = _equilibrated(np.array([c.centers]), np.array([c.radii]))
+    return HermitianMatrix._built(e[0], log_scale[0])
+
+
+def _equilibrated(a: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacks (E, l) of the floating build for the complex centers a and
+    radii r of b collections of n disks, both of shape (b, n).
+
+    Slice t holds the E and log scales l that build_q_matrix describes for
+    collection t, bit for bit as a stack of one would give them."""
+    b, n = a.shape
+    # One power of two per collection brings its largest input into
+    # [1/2, 1): exact, so E is unchanged, and no square below can overflow
+    # or underflow.  (Inputs all below 2^-1000 are subnormal; 2^1000 is as
+    # far as they need to go, so the largest input is taken as at least
+    # 2^-1001.)  np.hypot is libm's, as Python's abs(complex) is; numpy's
+    # complex abs can round differently.
+    top = np.maximum(np.hypot(a.real, a.imag), r).max(axis=1, initial=0.5**1001)
+    shift = np.frexp(top)[1][:, None]
+    unit = np.ldexp(1.0, -shift)
+    a = a * unit
+    # Python's ** is libm pow, which for some x differs in the last bit
+    # from numpy's x * x; E has always been built from the former
+    r2 = np.array([x**2 for x in (r * unit).ravel().tolist()]).reshape(b, n)
+    d = a[:, None, :] - a[:, :, None]  # d[t, k, i] = a_i - a_k
+    # multiply the factors of k-blocks in turn: a b n^3 temporary would not
+    # stay small.  The block size sets how the product is grouped, so it
+    # depends on n alone: a stack of b collections needs b times the
+    # temporary, and callers keep b small.
     step = max(1, _BLOCK_ELEMENTS // (n * n))
     e = log_scale = None
     for k in range(0, n, step):
-        dk = d[k : k + step]
-        f = dk[:, :, None] * dk.conj()[:, None, :]
-        f -= r2[k : k + step, None, None]
-        diagonal = f.reshape(len(f), n * n)[:, :: n + 1]
-        g = diagonal.real  # g[k, i] = |a_i - a_k|^2 - R_k^2
+        dk = d[:, k : k + step]
+        f = dk[..., :, None] * dk.conj()[..., None, :]
+        f -= r2[:, k : k + step, None, None]
+        diagonal = f.reshape(b, -1, n * n)[..., :: n + 1]
+        g = diagonal.real  # g[t, k, i] = |a_i - a_k|^2 - R_k^2
         s = np.sqrt(np.abs(g))
         s[g == 0] = 1.0
         sign = np.sign(g)
-        f /= s[:, :, None] * s[:, None, :]
+        f /= s[..., :, None] * s[..., None, :]
         diagonal[...] = sign
-        p, l = f.prod(axis=0), np.log(s).sum(axis=0)
+        p, l = f.prod(axis=1), np.log(s).sum(axis=1)
         e, log_scale = (p, l) if e is None else (e * p, log_scale + l)
     log_scale += n * shift * math.log(2.0)
     # the two triangles of the product need not be exact conjugates; the
     # Hermitian part is, and its diagonal keeps -prod_k sign(g_ik)
-    h = e.conj().T
+    h = e.conj().swapaxes(1, 2)
     h += e
     h *= -0.5
-    return HermitianMatrix._built(h, log_scale)
+    return h, log_scale
 
 
 def is_admissible(c: DiskCollection) -> bool:
@@ -416,8 +435,8 @@ def overlap_measure(c: DiskCollection) -> float:
 def _decide_floating(m: HermitianMatrix, tol: float) -> PositivityReport:
     n = m.order
     a = m.to_numpy() if m.is_exact else m._e.copy()
-    diag = a.diagonal().real.copy()
-    scale = float(np.max(np.abs(diag))) if n else 0.0
+    diag = a.diagonal().real  # a view, which follows the elimination below
+    scale = float(abs(diag).max()) if n else 0.0
     threshold = tol * scale
     if scale == 0.0:
         # all diagonal entries vanish exactly: never positive definite
@@ -431,9 +450,9 @@ def _decide_floating(m: HermitianMatrix, tol: float) -> PositivityReport:
     perm = list(range(n))
     pivots: list[float] = []
     for step in range(n):
-        rem = a[step:, step:].diagonal().real
-        jmin = int(np.argmin(rem))
-        jmax = int(np.argmax(rem))
+        rem = diag[step:]
+        jmin = int(rem.argmin())
+        jmax = int(rem.argmax())
         lowest = float(rem[jmin])
         pivot = float(rem[jmax])
         # argmin and argmax return the first NaN when there is one, so these
@@ -469,7 +488,10 @@ def _decide_floating(m: HermitianMatrix, tol: float) -> PositivityReport:
         pivots.append(pivot)
         if step < n - 1:
             col = a[step + 1 :, step]
-            a[step + 1 :, step + 1 :] -= np.outer(col, col.conjugate()) / pivot
+            # np.outer's product without its wrapper: broadcasting a 1-D conj
+            # instead takes another numpy loop for a 1x1 block, which rounds
+            # differently
+            a[step + 1 :, step + 1 :] -= col[:, None] * col.conj()[None, :] / pivot
     return PositivityReport(
         verdict=Verdict.POSITIVE_DEFINITE, tolerance_used=tol, pivots=tuple(pivots)
     )

@@ -327,11 +327,6 @@ def _variations_at(chain: list[list[int]], x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _count_halfopen(chain, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots in (lo, hi] (Sturm, zeros dropped)."""
-    return _variations_at(chain, lo) - _variations_at(chain, hi)
-
-
 def _cauchy_bound(p: RationalPolynomial) -> Fraction:
     lead = abs(p.leading_coefficient)
     return 1 + max(abs(c) for c in p.coefficients) / lead

@@ -318,7 +318,9 @@ def _companion_real_roots(coeffs) -> list[tuple[float, int]]:
     about eps^(1/k) (2e-4 for k=4), so roots are grouped by single-linkage
     clustering at radius 2e-3 first.  Cluster centroids average that noise
     away; a cluster is a real root exactly when its centroid sits on the
-    real axis (companion spectra are conjugate-symmetric).
+    real axis (companion spectra are conjugate-symmetric).  Distinct roots
+    closer than 2e-3 merge, so a product is better split into its factors
+    (see _factored_real_roots).
     """
     roots = sorted(
         np.roots(list(reversed([float(c) for c in coeffs]))),
@@ -341,6 +343,25 @@ def _companion_real_roots(coeffs) -> list[tuple[float, int]]:
     return out
 
 
+def _factored_real_roots(factors) -> list[tuple[float, int]]:
+    """Real roots as (value, multiplicity) of a product of (coeffs, power)
+    factors: the companion roots of each factor, its multiplicities times
+    the power, with roots of different factors closer than 1e-6 (a root
+    they share) taken as one."""
+    roots = sorted(
+        (value, mult * power)
+        for coeffs, power in factors
+        for value, mult in _companion_real_roots(coeffs)
+    )
+    out: list[tuple[float, int]] = []
+    for value, mult in roots:
+        if out and value - out[-1][0] < 1e-6:
+            out[-1] = (out[-1][0], out[-1][1] + mult)
+        else:
+            out.append((value, mult))
+    return out
+
+
 def orthopoly_suite(seed: int = 0, nmax: int = 12) -> list[CheckResult]:
     rng = random.Random(seed)
     out = []
@@ -350,13 +371,13 @@ def orthopoly_suite(seed: int = 0, nmax: int = 12) -> list[CheckResult]:
         deg = rng.randint(1, 8)
         coeffs = [rng.randint(-9, 9) for _ in range(deg)] + [rng.randint(1, 9)]
         poly = orthopoly.RationalPolynomial(coeffs)
+        factors = [(coeffs, 1)]
         if rng.random() < 0.3:
-            extra = orthopoly.RationalPolynomial(
-                [rng.randint(-4, 4) for _ in range(2)] + [rng.randint(1, 4)]
-            )
-            poly = poly * extra * extra  # exercises multiplicity handling
+            extra = [rng.randint(-4, 4) for _ in range(2)] + [rng.randint(1, 4)]
+            factors.append((extra, 2))  # exercises multiplicity handling
+            poly = poly * orthopoly.RationalPolynomial(extra) ** 2
         iso = orthopoly.isolate_real_roots(poly, None, 1e-9)
-        oracle = _companion_real_roots(poly.coefficients)
+        oracle = _factored_real_roots(factors)
         agree = len(oracle) == iso.count_distinct and all(
             abs(value - approx) < 1e-6 and mult == want
             for (value, want), approx, (_, _, mult) in zip(
@@ -582,39 +603,52 @@ def radius_suite(nmax: int = 64, trend_ns=(16, 32, 64, 128, 256)) -> list[CheckR
 # triangle
 # ---------------------------------------------------------------------------
 
+#: Samples built as one stack: 10,000 at once would raise the peak memory of
+#: a verify run by about 14 MB.
+_TRIANGLE_CHUNK = 1_000
+
 
 def triangle_suite(seed: int = 0, samples: int = 10_000) -> list[CheckResult]:
     rng = random.Random(seed)
     out = []
-    centers = [cmath.exp(2j * math.pi * k / 3) for k in (1, 2, 3)]
+    centers = np.array([cmath.exp(2j * math.pi * k / 3) for k in (1, 2, 3)])
     rmax = math.sqrt(3) - 0.05
 
     bad = None
     mismatches = 0
     checked = 0
     worst_minor = 0.0
-    for idx in range(samples):
-        radii = [rng.uniform(0.05, rmax) for _ in range(3)]
-        total = sum(r * r for r in radii)
-        if abs(total - 3.0) < 1e-6:
-            continue
-        checked += 1
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            closed = triangle.triangle_positive(*radii)
-        c = DiskCollection(centers, radii)
-        q = core.build_q_matrix(c)
-        generic = core.is_positive_definite(q).verdict is Verdict.POSITIVE_DEFINITE
-        if closed != generic:
-            mismatches += 1
-            if bad is None:
-                bad = f"sample {idx}: radii {radii} closed-form {closed} vs generic {generic}"
-        xs = [r * r for r in radii]
-        closed_minors = triangle.triangle_minors(*xs)
-        qn = q.to_numpy()
-        for k, cf in enumerate(closed_minors, start=1):
-            num = float(np.linalg.det(qn[:k, :k]).real)
-            worst_minor = max(worst_minor, abs(cf - num) / max(1.0, abs(num)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # triangle_positive near the boundary
+        for first in range(0, samples, _TRIANGLE_CHUNK):
+            kept = []
+            for idx in range(first, min(first + _TRIANGLE_CHUNK, samples)):
+                radii = [rng.uniform(0.05, rmax) for _ in range(3)]
+                total = sum(r * r for r in radii)
+                if abs(total - 3.0) >= 1e-6:
+                    kept.append((idx, radii))
+            if not kept:
+                continue
+            e, log_scale = core._equilibrated(
+                np.broadcast_to(centers, (len(kept), 3)), np.array([r for _, r in kept])
+            )
+            q = e * np.exp(log_scale[:, :, None] + log_scale[:, None, :])
+            minors = zip(*(np.linalg.det(q[:, :k, :k]).real.tolist() for k in (1, 2, 3)))
+            for t, ((idx, radii), numeric) in enumerate(zip(kept, minors)):
+                checked += 1
+                closed = triangle.triangle_positive(*radii)
+                report = core.is_positive_definite(core.HermitianMatrix._built(e[t], log_scale[t]))
+                generic = report.verdict is Verdict.POSITIVE_DEFINITE
+                if closed != generic:
+                    mismatches += 1
+                    if bad is None:
+                        bad = (
+                            f"sample {idx}: radii {radii} "
+                            f"closed-form {closed} vs generic {generic}"
+                        )
+                closed_minors = triangle.triangle_minors(*(r * r for r in radii))
+                for cf, num in zip(closed_minors, numeric):
+                    worst_minor = max(worst_minor, abs(cf - num) / max(1.0, abs(num)))
     out.append(
         CheckResult(
             "triangle.criterion-equivalence",

@@ -127,6 +127,19 @@ class TestCheckCommand:
         assert rational["verdict"] == "positive-definite"
         assert rational["certificate"] == floating["certificate"]
 
+    @pytest.mark.parametrize(
+        "flags", [["--mode", "auto"], ["--mode", "exact", "--scale"], ["--mode", "floating"]]
+    )
+    def test_rational_centers_that_round_to_one_double_exit_two(self, flags, capsys, monkeypatch):
+        disks = [
+            {"center": ["0", "0"], "radius": "1"},
+            {"center": [f"1/{10**400}", "0"], "radius": "1"},
+        ]
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"disks": disks})))
+        code, out, err = run(["check", "-", *flags], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: disks: centers must be pairwise distinct\n"
+
     def test_malformed_document_exits_two(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO('{"disks": []}'))
         code, out, err = run(["check", "-"], capsys)

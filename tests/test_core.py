@@ -164,6 +164,51 @@ class TestBuildQMatrix:
         assert (qn == qn.conj().T).all()
 
 
+def _stack_cases(n):
+    """Collections of n disks for one stack: every scale, real centers with
+    zero imaginary parts of both signs, and a tangent center (g = 0)."""
+    rng = random.Random(n)
+    grid = [complex(k % 8, k // 8) for k in range(n)]
+    cases = [
+        (
+            [scale * (z + complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))) for z in grid],
+            [scale * rng.uniform(0.1, 0.9) for _ in grid],
+        )
+        for scale in (1.0, 1e-300, 1e300, 1e-310)
+    ]
+    cases.append(([complex(k, -0.0 if k % 2 else 0.0) for k in range(n)], [0.4] * n))
+    if n > 1:
+        cases.append((grid, [1.0] + [0.3] * (n - 1)))  # |a_1 - a_0| = R_0
+    return [DiskCollection(centers, radii) for centers, radii in cases]
+
+
+class TestStackedBuild:
+    @pytest.mark.parametrize("n", [1, 3, 8, 40])
+    def test_every_slice_is_the_build_of_one(self, n):
+        cases = _stack_cases(n)
+        e, log_scale = core._equilibrated(
+            np.array([c.centers for c in cases]), np.array([c.radii for c in cases])
+        )
+        assert e.shape == (len(cases), n, n) and log_scale.shape == (len(cases), n)
+        for t, c in enumerate(cases):
+            q = build_q_matrix(c)
+            assert e[t].tobytes() == q._e.tobytes()
+            assert log_scale[t].tobytes() == q._log_scale.tobytes()
+        if n > 1:
+            assert e[-1][1, 1] == 0  # the tangent center
+
+    def test_radius_squares_are_libm_pow(self):
+        # numpy's x * x rounds 0.4828304519054865^2 one unit below Python's
+        # x ** 2 and would move these entries in their last bits
+        c = DiskCollection([0, 0.39 + 0.76j, -0.19 + 0.54j], [0.4828304519054865, 0.23, 0.38])
+        e = build_q_matrix(c)._e
+        assert [(e[i, j].real.hex(), e[i, j].imag.hex()) for i, j in ((0, 1), (0, 2), (1, 2))] == [
+            ("0x1.1df04d9eda721p-3", "0x1.4bb9eb9e5b201p-2"),
+            ("-0x1.004a65117457dp+0", "-0x1.0b3460599f43ep+0"),
+            ("-0x1.2db132324733bp-3", "0x1.03834db803e1ap-1"),
+        ]
+
+
 class TestAdmissibility:
     def test_frozen_cases(self):
         assert is_admissible(DiskCollection([0, 2], [1, 1]))

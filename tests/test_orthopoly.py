@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diskpd import orthopoly, verify
 from diskpd.orthopoly import (
     RationalPolynomial,
     hypergeometric_polynomial,
@@ -298,6 +299,27 @@ class TestRootIsolation:
             assert len(real) == iso.count_with_multiplicity
             for want, got in zip(real, iso.refined):
                 assert got == pytest.approx(want, abs=1e-6)
+
+
+class TestSturmVsCompanionCheck:
+    @pytest.mark.parametrize("seed", [71, 145])
+    def test_simple_root_next_to_a_double_root(self, seed):
+        # these seeds draw a base polynomial with a simple root 1e-3 to 2e-3
+        # from a double root of the squared factor
+        checks = {check.name: check.passed for check in verify.orthopoly_suite(seed=seed)}
+        assert checks["orthopoly.sturm-vs-companion"]
+
+    def test_wrong_multiplicity_fails(self, monkeypatch):
+        isolate = orthopoly.isolate_real_roots
+
+        def one_too_many(p, bounds=None, precision=1e-9):
+            iso = isolate(p, bounds, precision)
+            intervals = tuple((lo, hi, mult + 1) for lo, hi, mult in iso.intervals)
+            return orthopoly.RootIsolation(intervals, iso.refined)
+
+        monkeypatch.setattr(orthopoly, "isolate_real_roots", one_too_many)
+        checks = {check.name: check.passed for check in verify.orthopoly_suite(seed=1)}
+        assert checks["orthopoly.sturm-vs-companion"] is False
 
 
 def _reduced_central(n):
