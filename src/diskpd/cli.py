@@ -154,17 +154,15 @@ def cmd_check(args) -> int:
         print("error: exact mode needs rational centers and radii", file=sys.stderr)
         return EXIT_USAGE
 
+    if collection.is_exact and len(set(collection.centers)) < collection.n:
+        # distinct rational centers that round to one double: beta and
+        # --scale read the float values, and a floating build needs them
+        print("error: disks: centers must be pairwise distinct", file=sys.stderr)
+        return EXIT_USAGE
     source = collection
-    if collection.is_exact:
-        # beta and --scale read the float values, and the floating decision
-        # runs on E, which only a floating build makes
-        try:
-            floating = DiskCollection(collection.centers, collection.radii)
-        except ValueError as exc:  # distinct rational centers, one double
-            print(f"error: disks: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        if mode == "floating":
-            source = floating
+    if mode == "floating" and collection.is_exact:
+        # the floating decision runs on E, which only a floating build makes
+        source = DiskCollection(collection.centers, collection.radii)
     matrix = build_q_matrix(source)
     report = is_positive_definite(matrix, mode=mode, tol=args.tol)
     beta = overlap_measure(collection) if collection.n >= 2 else None
