@@ -6,8 +6,9 @@ Hermitian matrix with entries
     Q_ij = -prod_k [ (a_i - a_k) * conj(a_j - a_k) - R_k^2 ]
 
 is positive definite.  This module builds Q for arbitrary collections,
-decides positive definiteness (floating LDL with a pivot certificate, or
-exact rational leading minors when the inputs are rational), measures
+decides positive definiteness (a floating proof, from a Cholesky
+factorization or a witness vector, or exact rational leading minors when
+the inputs are rational), measures
 disk overlap, and searches for the largest uniform radius scaling that
 keeps a collection positive.
 
@@ -37,7 +38,12 @@ __all__ = [
 ]
 
 _HERMITIAN_RTOL = 1e-12
-_BLOCK_ELEMENTS = 1 << 15
+_U = 2.0**-53  # unit roundoff of a double
+_ETA = 2.0**-1074  # smallest subnormal: twice the underflow error of one operation
+#: Factor on every error bound evaluated in floating point, which covers
+#: the rounding of that evaluation for any order n below 10^12.
+_SLACK = 1.01
+_TOL = 1e-10  # default width of the band of floating decisions
 
 
 @dataclass(frozen=True)
@@ -201,12 +207,15 @@ class HermitianMatrix:
     rational entries, to 1e-12 relative tolerance for floating ones.  A
     floating matrix is held as one numpy array E with a vector of log
     scales l, and presents the matrix Q_ij = E_ij exp(l_i + l_j); matrices
-    built from rows have l = 0.  Q entries beyond the double range read
-    as inf, with numpy's overflow warning.  An exact matrix is held as an
-    integer den > 0 and the upper triangle of den * Q as (re, im) int pairs.
+    built from rows have l = 0.  It also carries a vector v >= 0 that
+    bounds the error of E entrywise, |E_ij - E*_ij| <= v_i v_j, against a
+    matrix E* congruent to Q by a positive diagonal: v = 0 for rows, which
+    are the matrix itself.  Q entries beyond the double range read as inf,
+    with numpy's overflow warning.  An exact matrix is held as an integer
+    den > 0 and the upper triangle of den * Q as (re, im) int pairs.
     """
 
-    __slots__ = ("_rows", "_e", "_log_scale", "_upper", "_den", "order", "is_exact")
+    __slots__ = ("_rows", "_e", "_log_scale", "_bound", "_upper", "_den", "order", "is_exact")
 
     def __init__(self, rows):
         rows = tuple(tuple(row) for row in rows)
@@ -229,22 +238,24 @@ class HermitianMatrix:
                             f"|difference| {diff:.3e} exceeds {_HERMITIAN_RTOL:.0e} relative"
                         )
         self._rows, self.order, self.is_exact = rows, n, exact
-        self._e = self._log_scale = self._upper = self._den = None
+        self._e = self._log_scale = self._bound = self._upper = self._den = None
         if exact:
             upper = [row[i:] for i, row in enumerate(rows)]
             ints, self._den = _cleared([x for row in upper for g in row for x in (g.re, g.im)])
             pairs = iter(zip(ints[::2], ints[1::2]))
             self._upper = [[next(pairs) for _ in row] for row in upper]
         else:
-            self._e, self._log_scale = np.array(rows, dtype=complex), np.zeros(n)
+            self._e, self._log_scale, self._bound = np.array(rows, dtype=complex), np.zeros(n), np.zeros(n)
 
     @classmethod
-    def _built(cls, e=None, log_scale=None, upper=None, den=None) -> "HermitianMatrix":
+    def _built(cls, e=None, log_scale=None, bound=None, upper=None, den=None) -> "HermitianMatrix":
         """Matrix with no symmetry scan: floating Q = diag(exp(l)) E diag(exp(l))
-        from an exactly Hermitian E, or exact Q = U / den from the upper
-        triangle U of a Gaussian-integer matrix with a real diagonal."""
+        from an exactly Hermitian E with error bound v, or exact Q = U / den
+        from the upper triangle U of a Gaussian-integer matrix with a real
+        diagonal."""
         m = cls.__new__(cls)
-        m._rows, m._e, m._log_scale, m._upper, m._den = None, e, log_scale, upper, den
+        m._rows, m._e, m._log_scale, m._bound = None, e, log_scale, bound
+        m._upper, m._den = upper, den
         m.is_exact = upper is not None
         m.order = len(upper if m.is_exact else e)
         return m
@@ -291,9 +302,11 @@ class Verdict(Enum):
 class PositivityReport:
     """Decision plus a machine-checkable certificate.
 
-    Floating mode certifies with the LDL pivot sequence (and the original
-    index of the offending diagonal on failure); exact mode with the exact
-    leading principal minors, which end at the first zero one.
+    Floating mode reports the shift delta as tolerance_used and certifies
+    with the Cholesky pivots of E - delta I, or with one upper bound of
+    x^H E x for a witness x (and the index of its largest entry); exact
+    mode with the exact leading principal minors, which end at the first
+    zero one.
     """
 
     verdict: Verdict
@@ -315,12 +328,13 @@ def build_q_matrix(c: DiskCollection) -> HermitianMatrix:
     gets the equilibrated matrix E = D^-1 Q D^-1 with D_i = prod_k s_ik
     and s_ik = sqrt|g_ik|, g_ik = |a_i-a_k|^2 - R_k^2:
     each factor of the product is divided by s_ik s_jk, so E never leaves
-    the double range, its diagonal E_ii = -prod_k sign(g_ik) is exactly
-    +-1 (0 when some Q_ii = 0, where the vanishing factor stays unscaled),
-    and scaling all coordinates changes it only by rounding (by a power of
-    two, not at all).  E is congruent to Q by a positive diagonal, so
-    definiteness is that of Q.  Both results are Hermitian by
-    construction.
+    the double range, its diagonal E_ii is -prod_k sign(g_ik) = +-1 up to
+    rounding (about 0 when some Q_ii = 0, where the vanishing factor stays
+    unscaled), and scaling all coordinates changes it only by rounding (by
+    a power of two, not at all).  E is congruent to Q by a positive
+    diagonal, so definiteness is that of Q, and it comes with an entrywise
+    bound on its rounding errors (see _equilibrated).  Both results are
+    Hermitian by construction.
     """
     n = c.n
     if c.is_exact:
@@ -340,57 +354,107 @@ def build_q_matrix(c: DiskCollection) -> HermitianMatrix:
                 upper[i][j - i] = (re, im)
         return HermitianMatrix._built(upper=upper, den=lcm ** (2 * n))
 
-    e, log_scale = _equilibrated(np.array([c.centers]), np.array([c.radii]))
-    return HermitianMatrix._built(e[0], log_scale[0])
+    e, log_scale, bound = _equilibrated(np.array([c.centers]), np.array([c.radii]))
+    return HermitianMatrix._built(e[0], log_scale[0], bound[0])
 
 
-def _equilibrated(a: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacks (E, l) of the floating build for the complex centers a and
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), which bounds |prod (1 + d_i)^(+-1) - 1|
+    for k factors with |d_i| <= u."""
+    return k * _U / (1 - k * _U)
+
+
+def _equilibrated(a: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacks (E, l, v) of the floating build for the complex centers a and
     radii r of b collections of n disks, both of shape (b, n).
 
     Slice t holds the E and log scales l that build_q_matrix describes for
-    collection t, bit for bit as a stack of one would give them."""
+    collection t, bit for bit as a stack of one would give them, and a
+    vector v >= 0 with |E_ij - E*_ij| <= v_i v_j, where E* is the same
+    product in exact arithmetic on the computed s_ik.
+
+    E is a product of rank-2 factors.  With w_ki = (a_i - a_k) / s_ik and
+    t_ki = R_k / s_ik the factor k of Q_ij divided by s_ik s_jk is
+    F_kij = w_ki conj(w_kj) - t_ki t_kj: F_k = P_k J P_k^H with the n x 2
+    matrix P_k = [w_k, t_k] and J = diag(1, -1), one matrix product per k.
+    E = -prod_k F_k entrywise, and E* = D^-1 Q D^-1 with D_i = prod_k s_ik
+    for any s_ik > 0, so the s_ik need no accuracy.
+
+    Error bound.  Standard model, u = 2^-53, h = 2^-1075 (underflow):
+    fl(x op y) = (x op y)(1 + d) + e, |d| <= u, |e| <= h, e = 0 for + and -.
+    A complex product obeys |fl(xy) - xy| <= sqrt(2) gamma_2 |x||y| +
+    2 sqrt(2) h (Higham, Lemma 3.5), and a complex inner product of length
+    m, taken as real ones of length 2m in any order and with or without
+    fused multiply-adds, is off by sqrt(2) gamma_2m sum |x_i||y_i| plus
+    2m sqrt(2) h.  Put c_ki = |w_ki|^2 + t_ki^2 and
+    X_kij = sqrt(max(c_ki, 1) max(c_kj, 1)); then
+    |F_kij| <= |w_ki||w_kj| + t_ki t_kj <= X_kij (Cauchy-Schwarz), and
+    X_kij >= 1 turns every absolute underflow error below into a relative
+    one.
+    - w: two roundings (the difference, exact on underflow, and the
+      division), |w^ - w| <= gamma_2 |w| + sqrt(2) h; t: one,
+      |t^ - t| <= u t + h.  The inputs must be exact: a power-of-two
+      shift that would round one of them gives v = inf instead.
+    - F: the errors of w^ and t^ (4u and 2u to first order) and the
+      product of length 2 (4 sqrt(2) u):
+      |F^ - F| <= a X, a = gamma_10 + 12 h.
+    - Product: P^_m = P^_(m-1) F^_m (1 + c_m) + e_m with
+      |c_m| <= b = sqrt(2) gamma_2 and |e_m| <= 2 sqrt(2) h, so by
+      induction |P^_m - P_m| <= ((1 + a)(1 + b)(1 + 3h))^m - 1) prod X.
+    - Hermitian part -(P^ + P^^H) / 2: one rounding u and, for a
+      subnormal half, h.
+    (1 + a)(1 + b)(1 + 3h) <= 1 + 13u <= (1 + u)^13, so
+    |E^_ij - E*_ij| <= gamma_(13(n+1)) sqrt(C_i C_j), C_i = prod_k max(c_ki, 1).
+    C_i is evaluated from w^ and t^ in floating point (relative error
+    below 10(n+2)u, with the errors of w^ and t^) and inflated by _SLACK,
+    which covers that for any n below 10^12.  C_i can overflow to inf,
+    and then so does v_i.
+    """
     b, n = a.shape
     # One power of two per collection brings its largest input into
-    # [1/2, 1): exact, so E is unchanged, and no square below can overflow
-    # or underflow.  (Inputs all below 2^-1000 are subnormal; 2^1000 is as
-    # far as they need to go, so the largest input is taken as at least
-    # 2^-1001.)  np.hypot is libm's, as Python's abs(complex) is; numpy's
-    # complex abs can round differently.
-    top = np.maximum(np.hypot(a.real, a.imag), r).max(axis=1, initial=0.5**1001)
+    # [1/2, 1): exact for every input that stays normal, and no square
+    # below can overflow.  (Inputs all below 2^-1000 are subnormal; 2^1000
+    # is as far as they need to go, so the largest input is taken as at
+    # least 2^-1001.)
+    top = np.maximum(_hypot(a), r).max(axis=1, initial=0.5**1001)
     shift = np.frexp(top)[1][:, None]
     unit = np.ldexp(1.0, -shift)
-    a = a * unit
-    # Python's ** is libm pow, which for some x differs in the last bit
-    # from numpy's x * x; E has always been built from the former
-    r2 = np.array([x**2 for x in (r * unit).ravel().tolist()]).reshape(b, n)
-    d = a[:, None, :] - a[:, :, None]  # d[t, k, i] = a_i - a_k
-    # multiply the factors of k-blocks in turn: a b n^3 temporary would not
-    # stay small.  The block size sets how the product is grouped, so it
-    # depends on n alone: a stack of b collections needs b times the
-    # temporary, and callers keep b small.
-    step = max(1, _BLOCK_ELEMENTS // (n * n))
-    e = log_scale = None
-    for k in range(0, n, step):
-        dk = d[:, k : k + step]
-        f = dk[..., :, None] * dk.conj()[..., None, :]
-        f -= r2[:, k : k + step, None, None]
-        diagonal = f.reshape(b, -1, n * n)[..., :: n + 1]
-        g = diagonal.real  # g[t, k, i] = |a_i - a_k|^2 - R_k^2
-        s = np.sqrt(np.abs(g))
-        s[g == 0] = 1.0
-        sign = np.sign(g)
-        f /= s[..., :, None] * s[..., None, :]
-        diagonal[...] = sign
-        p, l = f.prod(axis=1), np.log(s).sum(axis=1)
-        e, log_scale = (p, l) if e is None else (e * p, log_scale + l)
+    scaled_a, scaled_r = a * unit, r * unit
+    exact = (scaled_a / unit == a).all(axis=1) & (scaled_r / unit == r).all(axis=1)
+    a, r = scaled_a, scaled_r
+    pairs = np.empty((b, n, n, 2), dtype=complex)  # pairs[..., k, i, :] = (w_ki, t_ki)
+    w = np.subtract(a[:, None, :], a[:, :, None], out=pairs[..., 0])  # a_i - a_k
+    s = w.real * w.real
+    s += w.imag * w.imag
+    s -= (r * r)[:, :, None]  # g[..., k, i] = |a_i - a_k|^2 - R_k^2
+    np.sqrt(np.abs(s, out=s), out=s)
+    s[s == 0] = 1.0
+    log_scale = np.log(s).sum(axis=1)
     log_scale += n * shift * math.log(2.0)
+    w.real /= s
+    w.imag /= s
+    t = np.divide(r[:, :, None], s, out=s)
+    pairs[..., 1] = t
+
+    c = w.real * w.real
+    c += w.imag * w.imag
+    c += t * t
+    bound = np.sqrt(np.maximum(c, 1.0, out=c).prod(axis=1) * (_gamma(13 * (n + 1)) * _SLACK))
+    bound[~exact] = np.inf
+    del w, s, t, c
+
+    e = np.ones((b, n, n), dtype=complex)
+    f = np.empty_like(e)
+    sign = np.array([1.0, -1.0])
+    for k in range(n):
+        p = pairs[:, k]
+        e *= np.matmul(p * sign, p.conj().swapaxes(1, 2), out=f)
     # the two triangles of the product need not be exact conjugates; the
-    # Hermitian part is, and its diagonal keeps -prod_k sign(g_ik)
-    h = e.conj().swapaxes(1, 2)
+    # Hermitian part is
+    h = np.conjugate(e.swapaxes(1, 2), out=f)
     h += e
     h *= -0.5
-    return h, log_scale
+    return h, log_scale, bound
 
 
 def is_admissible(c: DiskCollection) -> bool:
@@ -409,11 +473,8 @@ def is_admissible(c: DiskCollection) -> bool:
                 if j != k and (xj - xk) ** 2 + (yj - yk) ** 2 <= r2:
                     return False
         return True
-    for k in range(n):
-        for j in range(n):
-            if j != k and abs(c.centers[j] - c.centers[k]) <= c.radii[k]:
-                return False
-    return True
+    dist, r = _distances(c)
+    return not (dist <= r[:, None]).any()
 
 
 def overlap_measure(c: DiskCollection) -> float:
@@ -425,76 +486,165 @@ def overlap_measure(c: DiskCollection) -> float:
     """
     if c.n < 2:
         raise ValueError("overlap measure needs at least two disks")
-    return max(
-        (c.radii[i] + c.radii[j]) / abs(c.centers[i] - c.centers[j])
-        for i in range(c.n)
-        for j in range(i + 1, c.n)
-    )
+    dist, r = _distances(c)
+    return float(((r[:, None] + r) / dist).max())
+
+
+def _distances(c: DiskCollection) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix of center distances |a_i - a_j| of a collection, with
+    the bits of Python's abs(a_i - a_j) and inf for i = j, and its radii,
+    as floats.  It is symmetric, bit for bit."""
+    z = np.array(c.centers)
+    dist = _hypot(z[:, None] - z)
+    dist.flat[:: len(z) + 1] = np.inf
+    return dist, np.array(c.radii)
+
+
+def _add_up(a: float, b: float) -> float:
+    """a + b rounded up: the rounded sum, moved one unit up when the exact
+    error of the rounding (Knuth's TwoSum) is positive."""
+    s = a + b
+    z = s - a
+    err = (a - (s - z)) + (b - z)
+    return math.nextafter(s, math.inf) if err > 0 else s
+
+
+def _norm_bound(v: np.ndarray) -> np.ndarray:
+    """Bound on ||E - E*||_2 from the entrywise bound v of the last axis:
+    ||v v^T||_2 = ||v||^2."""
+    return _SLACK * (v * v).sum(axis=-1)
+
+
+def _hypot(z: np.ndarray) -> np.ndarray:
+    """|z| by libm's hypot, as Python's abs(complex) takes it, elementwise
+    the same for every array shape; numpy's complex abs can round
+    differently."""
+    return np.hypot(z.real, z.imag)
 
 
 def _decide_floating(m: HermitianMatrix, tol: float) -> PositivityReport:
-    n = m.order
-    a = m.to_numpy() if m.is_exact else m._e.copy()
-    diag = a.diagonal().real  # a view, which follows the elimination below
-    scale = float(abs(diag).max()) if n else 0.0
-    threshold = tol * scale
-    if scale == 0.0:
-        # all diagonal entries vanish exactly: never positive definite
-        return PositivityReport(
-            verdict=Verdict.NOT_POSITIVE_DEFINITE,
-            tolerance_used=tol,
-            pivots=(0.0,),
-            failing_index=0,
-        )
+    if m.is_exact:
+        # each part of each entry rounds once, so ||fl(Q) - Q||_2 <=
+        # ||fl(Q) - Q||_F <= u ||Q||_F + sqrt(2) n 2^-1075
+        e = m.to_numpy()
+        eps = _SLACK * (_U / (1 - _U) * float(np.linalg.norm(e)) + 2 * m.order * _ETA)
+    else:
+        e, eps = m._e, _norm_bound(m._bound)
+    return _decide_stack(e[None], np.array([eps]), tol)[0]
 
-    perm = list(range(n))
-    pivots: list[float] = []
-    for step in range(n):
-        rem = diag[step:]
-        jmin = int(rem.argmin())
-        jmax = int(rem.argmax())
-        lowest = float(rem[jmin])
-        pivot = float(rem[jmax])
-        # argmin and argmax return the first NaN when there is one, so these
-        # two scalars see every overflowed or NaN entry on the diagonal
-        if not math.isfinite(lowest) or not math.isfinite(pivot):
-            return PositivityReport(
-                verdict=Verdict.INDETERMINATE,
-                tolerance_used=tol,
-                pivots=tuple(pivots),
-                failing_index=perm[step + (jmin if not math.isfinite(lowest) else jmax)],
+
+def _cholesky_each(a: np.ndarray) -> list:
+    """The Cholesky factor of every slice of a stack, None where it fails.
+    A stack fails as a whole when one slice fails, so failures are found
+    by halving."""
+    try:
+        return list(np.linalg.cholesky(a))
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return [None]
+        half = len(a) // 2
+        return _cholesky_each(a[:half]) + _cholesky_each(a[half:])
+
+
+def _decide_stack(e: np.ndarray, eps: np.ndarray, tol: float) -> list[PositivityReport]:
+    """Certified decisions for a stack e of shape (b, n, n) of exactly
+    Hermitian arrays E, each with a bound eps >= ||E - E*||_2 against the
+    matrix E* whose definiteness is asked.  Slice t gets the report, bit
+    for bit, that a stack of one gives it.
+
+    Positive definite (Rump, BIT 46, 2006): let A = fl(E - delta I).  If
+    LAPACK's Cholesky of A runs to the end, R^H R = A + dA with
+    |dA| <= g |R^H||R|, g = gamma_(2n+4) (Demmel 1989; Higham, Thm 10.3,
+    with the complex inner products of length n counted as real ones of
+    length 2n, and a square root or division), hence
+    ||dA||_2 <= g / (1 - g) trace(A) and A > -||dA||_2 I.  With
+    T = sum_i max(E_ii, 0) >= trace(A), M = max_i |E_ii| and the rounding
+    u (M + delta) of the shift,
+    lambda_min(E*) > delta - g / (1 - g) T - u (M + delta) - eps - z,
+    z = n (2n + 4) max(1, M) 2^-1074 for underflow inside the
+    factorization (each entry of dA takes at most 2n + 4 underflow errors
+    of 2^-1075, the one of a division scaled by r_ii <= sqrt(M)), so
+    E* > 0 whenever delta >= (g / (1 - g) T + u M + eps + z) / (1 - u).
+    delta is the larger of that bound and tol * M, so tol is the width of
+    the band in which no verdict is given.  The certificate holds the
+    pivots r_kk^2 of A, and tolerance_used holds delta.
+
+    Not positive definite: a witness x != 0 with x^H E* x <= -delta ||x||^2.
+    First x = e_i for the smallest diagonal entry, where x^H E* x <=
+    E_ii + eps; else the eigenvector of the smallest eigenvalue of E, where
+    the computed x^H E x is off by at most 3 gamma_(2n) |x|^T |E| |x| (a
+    matrix-vector and a dot product, each a real one of length 2n, with
+    the rounding of the first carried through the second).  Every bound
+    is summed with upward rounding.  The certificate holds the upper bound
+    of x^H E* x and the index of the largest |x_i|.  A zero diagonal,
+    which Cholesky cannot pass, takes delta = 0.  A matrix with a witness
+    fails Cholesky, so a stack looks for witnesses before it factors the
+    rest; a stack of one factors first.
+
+    Anything else, and any non-finite entry or bound, is indeterminate.
+    """
+    b, n, _ = e.shape
+    g = _gamma(2 * n + 4)
+    g /= 1 - g
+    underflow = n * (2 * n + 4) * _ETA
+    finite = np.isfinite(e).all(axis=2)
+    reports: list = [None] * b
+    ok, deltas = [], []
+    # the scalars of each slice in Python floats, the same for every b
+    diags = e.diagonal(axis1=1, axis2=2).real.tolist()
+    for t, (row_ok, d, eps_t) in enumerate(zip(finite.all(axis=1).tolist(), diags, eps.tolist())):
+        if not (row_ok and math.isfinite(eps_t)):
+            reports[t] = PositivityReport(
+                Verdict.INDETERMINATE, tol, pivots=(), failing_index=int(finite[t].argmin())
             )
-        if lowest < -threshold:
-            pivots.append(lowest)
-            return PositivityReport(
-                verdict=Verdict.NOT_POSITIVE_DEFINITE,
-                tolerance_used=tol,
-                pivots=tuple(pivots),
-                failing_index=perm[step + jmin],
-            )
-        if pivot <= threshold:
-            pivots.append(pivot)
-            return PositivityReport(
-                verdict=Verdict.INDETERMINATE,
-                tolerance_used=tol,
-                pivots=tuple(pivots),
-                failing_index=perm[step + jmax],
-            )
-        if jmax:
-            k = step + jmax
-            a[[step, k], :] = a[[k, step], :]
-            a[:, [step, k]] = a[:, [k, step]]
-            perm[step], perm[k] = perm[k], perm[step]
-        pivots.append(pivot)
-        if step < n - 1:
-            col = a[step + 1 :, step]
-            # np.outer's product without its wrapper: broadcasting a 1-D conj
-            # instead takes another numpy loop for a 1x1 block, which rounds
-            # differently
-            a[step + 1 :, step + 1 :] -= col[:, None] * col.conj()[None, :] / pivot
-    return PositivityReport(
-        verdict=Verdict.POSITIVE_DEFINITE, tolerance_used=tol, pivots=tuple(pivots)
-    )
+            continue
+        top = max(map(abs, d))
+        floor = g * sum(x for x in d if x > 0) + _U * top + eps_t + underflow * max(1.0, top)
+        ok.append(t)
+        deltas.append(max(tol * top, _SLACK * floor / (1 - _U)) if top else 0.0)
+    if len(ok) < b:
+        e, eps, diags = e[ok], eps[ok], [diags[t] for t in ok]
+
+    def factor(slices: list[int]) -> None:
+        """Positive reports for the slices whose E - delta I passes Cholesky."""
+        a = e[slices]
+        a.reshape(len(slices), n * n)[:, :: n + 1].real -= np.array([deltas[t] for t in slices])[:, None]
+        for t, r in zip(slices, _cholesky_each(a)):
+            if r is not None:
+                pivots = tuple((r.diagonal().real ** 2).tolist())
+                reports[ok[t]] = PositivityReport(Verdict.POSITIVE_DEFINITE, deltas[t], pivots)
+
+    if len(ok) == 1 and deltas[0]:
+        factor([0])
+        if reports[ok[0]] is not None:
+            return reports
+    # witnesses: a diagonal entry, else the eigenvector of the smallest eigenvalue
+    witnesses = []  # (bound on x^H E* x, index, ||x||^2)
+    for d, eps_t in zip(diags, eps.tolist()):
+        i = min(range(n), key=d.__getitem__)
+        witnesses.append((_add_up(d[i], eps_t), i, 1.0))
+    rest = [t for t, (bound, _, _) in enumerate(witnesses) if bound > -deltas[t]]
+    if rest:
+        er = e if len(rest) == len(ok) else e[rest]
+        x = np.ascontiguousarray(np.linalg.eigh(er)[1][:, :, 0])
+        y = (er @ x[:, :, None])[:, :, 0]
+        ax = _hypot(x)
+        value = (x.real * y.real + x.imag * y.imag).sum(axis=1)
+        size = (ax * (_hypot(er) @ ax[:, :, None])[:, :, 0]).sum(axis=1)
+        norm2 = (ax * ax).sum(axis=1)
+        rounding = 3 * _gamma(2 * n)
+        for t, v, r, x2, i in zip(rest, value.tolist(), size.tolist(), norm2.tolist(), ax.argmax(axis=1).tolist()):
+            bound = _add_up(_add_up(v, _SLACK * rounding * r), _SLACK * float(eps[t]) * x2)
+            witnesses[t] = (bound, i, x2)
+    found = [bound <= -deltas[t] * x2 for t, (bound, _, x2) in enumerate(witnesses)]
+    undecided = [t for t in range(len(ok)) if not found[t] and deltas[t]]
+    if len(ok) > 1 and undecided:  # a stack of one has failed Cholesky already
+        factor(undecided)
+    for t, (bound, i, _) in enumerate(witnesses):
+        if reports[ok[t]] is None:
+            verdict = Verdict.NOT_POSITIVE_DEFINITE if found[t] else Verdict.INDETERMINATE
+            reports[ok[t]] = PositivityReport(verdict, deltas[t], (bound,), failing_index=i)
+    return reports
 
 
 def _div(x: int, d: int) -> int:
@@ -536,17 +686,18 @@ def _decide_exact(m: HermitianMatrix) -> PositivityReport:
     )
 
 
-def is_positive_definite(m: HermitianMatrix, mode: str = "floating", tol: float = 1e-10) -> PositivityReport:
+def is_positive_definite(m: HermitianMatrix, mode: str = "floating", tol: float = _TOL) -> PositivityReport:
     """Decide positive definiteness of a Hermitian matrix.
 
-    mode="floating": LDL with largest-diagonal pivoting, on the stored
-    array E of a floating matrix (for build_q_matrix, the equilibrated
-    matrix, so the pivots are those of E); all pivots above
-    tol * (largest diagonal entry) gives POSITIVE_DEFINITE, a pivot below
-    the negated threshold gives NOT_POSITIVE_DEFINITE with the offending
-    original index, and a pivot inside the band gives INDETERMINATE.  An
-    overflowed or NaN diagonal entry met during the elimination also gives
-    INDETERMINATE, certified by the finite pivots taken before it.
+    mode="floating": a proof on the stored array E of a floating matrix
+    (for build_q_matrix, the equilibrated matrix, with its error bound), or
+    on Q converted to floats for an exact one.  POSITIVE_DEFINITE only when
+    LAPACK's Cholesky factorization of E - delta I succeeds, where delta is
+    the larger of tol * (largest |diagonal entry|) and a bound on every
+    rounding error; NOT_POSITIVE_DEFINITE only with a witness x whose
+    x^H E x is proved at most -delta |x|^2; INDETERMINATE otherwise and for
+    any non-finite entry.  So tol is the width of the band in which no
+    verdict is given.  See _decide_stack for the proof.
 
     mode="exact": Sylvester's criterion on the leading principal minors from
     one fraction-free (Bareiss) elimination of the integer matrix den * Q,
@@ -585,12 +736,8 @@ def max_uniform_scale(c: DiskCollection, tol: float = 1e-12) -> float:
         report = is_positive_definite(build_q_matrix(c.scaled(s)))
         return report.verdict is Verdict.POSITIVE_DEFINITE
 
-    hi = min(
-        abs(c.centers[i] - c.centers[j])
-        / math.sqrt(c.radii[i] ** 2 + c.radii[j] ** 2)
-        for i in range(c.n)
-        for j in range(i + 1, c.n)
-    )
+    dist, r = _distances(c)
+    hi = float((dist / np.hypot(r[:, None], r)).min())
     grow = 0
     while positive(hi):
         hi *= 2.0

@@ -629,15 +629,15 @@ def triangle_suite(seed: int = 0, samples: int = 10_000) -> list[CheckResult]:
                     kept.append((idx, radii))
             if not kept:
                 continue
-            e, log_scale = core._equilibrated(
+            e, log_scale, bound = core._equilibrated(
                 np.broadcast_to(centers, (len(kept), 3)), np.array([r for _, r in kept])
             )
             q = e * np.exp(log_scale[:, :, None] + log_scale[:, None, :])
             minors = zip(*(np.linalg.det(q[:, :k, :k]).real.tolist() for k in (1, 2, 3)))
-            for t, ((idx, radii), numeric) in enumerate(zip(kept, minors)):
+            reports = core._decide_stack(e, core._norm_bound(bound), core._TOL)
+            for (idx, radii), numeric, report in zip(kept, minors, reports):
                 checked += 1
                 closed = triangle.triangle_positive(*radii)
-                report = core.is_positive_definite(core.HermitianMatrix._built(e[t], log_scale[t]))
                 generic = report.verdict is Verdict.POSITIVE_DEFINITE
                 if closed != generic:
                     mismatches += 1

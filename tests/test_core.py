@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import naive_q_entry, naive_q_matrix, roots_of_unity
 from diskpd import core
@@ -186,27 +188,175 @@ class TestStackedBuild:
     @pytest.mark.parametrize("n", [1, 3, 8, 40])
     def test_every_slice_is_the_build_of_one(self, n):
         cases = _stack_cases(n)
-        e, log_scale = core._equilibrated(
+        e, log_scale, bound = core._equilibrated(
             np.array([c.centers for c in cases]), np.array([c.radii for c in cases])
         )
-        assert e.shape == (len(cases), n, n) and log_scale.shape == (len(cases), n)
+        assert e.shape == (len(cases), n, n) and log_scale.shape == bound.shape == (len(cases), n)
         for t, c in enumerate(cases):
             q = build_q_matrix(c)
             assert e[t].tobytes() == q._e.tobytes()
             assert log_scale[t].tobytes() == q._log_scale.tobytes()
+            assert bound[t].tobytes() == q._bound.tobytes()
         if n > 1:
             assert e[-1][1, 1] == 0  # the tangent center
 
-    def test_radius_squares_are_libm_pow(self):
-        # numpy's x * x rounds 0.4828304519054865^2 one unit below Python's
-        # x ** 2 and would move these entries in their last bits
-        c = DiskCollection([0, 0.39 + 0.76j, -0.19 + 0.54j], [0.4828304519054865, 0.23, 0.38])
-        e = build_q_matrix(c)._e
-        assert [(e[i, j].real.hex(), e[i, j].imag.hex()) for i, j in ((0, 1), (0, 2), (1, 2))] == [
-            ("0x1.1df04d9eda721p-3", "0x1.4bb9eb9e5b201p-2"),
-            ("-0x1.004a65117457dp+0", "-0x1.0b3460599f43ep+0"),
-            ("-0x1.2db132324733bp-3", "0x1.03834db803e1ap-1"),
-        ]
+    def test_entry_bound_against_exact_arithmetic(self):
+        # E* is the product of the factors in Fraction arithmetic on the
+        # computed s_ik, which any positive values keep congruent to Q
+        rng = random.Random(12)
+        for trial in range(24):
+            n = rng.randint(1, 10)
+            centers = []
+            while len(centers) < n:
+                z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                if all(abs(z - w) > 0.05 for w in centers):
+                    centers.append(z)
+            dmin = min((abs(z - w) for z, w in itertools.combinations(centers, 2)), default=1.0)
+            t = math.ldexp(rng.uniform(1, 2), rng.randint(-40, 40))
+            c = DiskCollection([t * z for z in centers], [t * dmin * rng.uniform(0.3, 1.6) for _ in centers])
+            q = build_q_matrix(c)
+            want = exact_equilibrated(c)
+            for i, j in itertools.product(range(n), repeat=2):
+                err_re = Fraction(q._e[i, j].real) - want[i][j][0]
+                err_im = Fraction(q._e[i, j].imag) - want[i][j][1]
+                assert err_re**2 + err_im**2 <= Fraction(q._bound[i]) ** 2 * Fraction(q._bound[j]) ** 2
+
+    def test_rounded_inputs_get_an_infinite_bound(self):
+        # bringing 1e300 to [1/2, 1) rounds the subnormal 1e-300 * 2^-997
+        q = build_q_matrix(DiskCollection([0, 1e300], [1e-300 * 3, 1.0]))
+        assert np.isinf(q._bound).all()
+        report = is_positive_definite(q)
+        assert report.verdict is Verdict.INDETERMINATE and report.pivots == ()
+
+
+def exact_equilibrated(c):
+    """E* = -prod_k F_k in Fraction arithmetic, from the s_ik that the
+    build computes (the same power-of-two shift and float operations)."""
+    a, r = np.array(c.centers), np.array(c.radii)
+    top = max(np.hypot(a.real, a.imag).max(), r.max(), 0.5**1001)
+    unit = math.ldexp(1.0, -math.frexp(top)[1])
+    a, r = a * unit, r * unit
+    d = a[None, :] - a[:, None]
+    g = d.real * d.real + d.imag * d.imag - (r * r)[:, None]
+    s = np.sqrt(np.abs(g))
+    s[s == 0] = 1.0
+    x = [(Fraction(z.real), Fraction(z.imag)) for z in a.tolist()]
+    rr = [Fraction(v) for v in r.tolist()]
+    ss = [[Fraction(v) for v in row] for row in s.tolist()]
+    n = len(x)
+    out = [[None] * n for _ in range(n)]
+    for i, j in itertools.product(range(n), repeat=2):
+        re, im = Fraction(-1), Fraction(0)
+        for k in range(n):
+            ur, ui = x[i][0] - x[k][0], x[i][1] - x[k][1]
+            vr, vi = x[j][0] - x[k][0], x[j][1] - x[k][1]
+            den = ss[k][i] * ss[k][j]
+            fr, fi = (ur * vr + ui * vi - rr[k] ** 2) / den, (ui * vr - ur * vi) / den
+            re, im = re * fr - im * fi, re * fi + im * fr
+        out[i][j] = (re, im)
+    return out
+
+
+def _report_bits(report):
+    floats = (report.tolerance_used, *report.pivots)
+    return report.verdict, tuple(float(x).hex() for x in floats), report.failing_index
+
+
+class TestStackedDecision:
+    @pytest.mark.parametrize("n", [1, 3, 8, 40])
+    def test_every_slice_is_the_decision_of_one(self, n):
+        rng = random.Random(n)
+        cases = _stack_cases(n)
+        grid = [complex(k % 8, k // 8) for k in range(n)]
+        for level in (0.2, 0.45, 0.7, 1.2, 2.0):  # positive and not, some undecided
+            cases.append(DiskCollection(grid, [level * rng.uniform(0.8, 1.2) for _ in grid]))
+        e, log_scale, bound = core._equilibrated(
+            np.array([c.centers for c in cases]), np.array([c.radii for c in cases])
+        )
+        e[-1, 0, -1] = np.nan  # a non-finite entry
+        for tol in (1e-10, 1e-3):
+            reports = core._decide_stack(e, core._norm_bound(bound), tol)
+            for t in range(len(cases)):
+                one = is_positive_definite(HermitianMatrix._built(e[t], log_scale[t], bound[t]), tol=tol)
+                assert _report_bits(reports[t]) == _report_bits(one)
+        if n > 1:
+            assert {r.verdict for r in reports} == set(Verdict)
+
+    def test_triangle_stack_matches_the_decision_of_one(self):
+        rng = random.Random(3)
+        centers = [cmath.exp(2j * math.pi * k / 3) for k in (1, 2, 3)]
+        radii = np.array([[rng.uniform(0.05, 1.68) for _ in range(3)] for _ in range(400)])
+        e, log_scale, bound = core._equilibrated(np.broadcast_to(np.array(centers), (400, 3)), radii)
+        reports = core._decide_stack(e, core._norm_bound(bound), core._TOL)
+        for t, report in enumerate(reports):
+            one = is_positive_definite(HermitianMatrix._built(e[t], log_scale[t], bound[t]))
+            assert _report_bits(report) == _report_bits(one)
+
+
+def _with_smallest_eigenvalue(lam, n=3):
+    """Hermitian n x n rows with eigenvalues lam, 1, 2, ...: the 2 x 2 block
+    [[1, c w], [c conj(w), 1]] has eigenvalues 1 -+ c."""
+    w = cmath.exp(0.7j)
+    c = 1.0 - lam
+    rows = [[0j] * n for _ in range(n)]
+    rows[0][0] = rows[1][1] = 1.0
+    rows[0][1], rows[1][0] = c * w, c * w.conjugate()
+    for k in range(2, n):
+        rows[k][k] = float(k)
+    return HermitianMatrix(rows)
+
+
+class TestCertificates:
+    TOL = 1e-6  # delta = tol * max |E_ii| = 2e-6
+
+    def test_smallest_eigenvalue_two_deltas_above_is_positive(self):
+        m = _with_smallest_eigenvalue(4e-6)
+        report = is_positive_definite(m, tol=self.TOL)
+        assert report.verdict is Verdict.POSITIVE_DEFINITE
+        delta = report.tolerance_used
+        assert delta == 2e-6
+        want = np.linalg.cholesky(m.to_numpy() - delta * np.eye(3)).diagonal().real ** 2
+        assert report.pivots == tuple(want.tolist())
+
+    def test_smallest_eigenvalue_two_deltas_below_has_a_witness(self):
+        m = _with_smallest_eigenvalue(-4e-6)
+        report = is_positive_definite(m, tol=self.TOL)
+        assert report.verdict is Verdict.NOT_POSITIVE_DEFINITE
+        (bound,) = report.pivots
+        # the eigenvector of -4e-6 is (1, -conj(w), 0) / sqrt 2: x^H E x = -4e-6
+        assert -4e-6 < bound <= -report.tolerance_used
+        assert report.failing_index in (0, 1)
+
+    @pytest.mark.parametrize("lam", [1e-6, -1e-6, 0.0])
+    def test_inside_the_band_is_indeterminate(self, lam):
+        report = is_positive_definite(_with_smallest_eigenvalue(lam), tol=self.TOL)
+        assert report.verdict is Verdict.INDETERMINATE
+        assert report.tolerance_used == 2e-6
+
+    def test_bounds_are_summed_with_upward_rounding(self):
+        assert core._add_up(1.0, 2.0**-60) == math.nextafter(1.0, math.inf)
+        assert core._add_up(-5.0, 0.0) == -5.0  # exact sums stay
+        assert core._add_up(1.0, -(2.0**-60)) == 1.0
+
+    def test_non_finite_entry_is_indeterminate(self):
+        e = np.array([[1.0, 0.0], [0.0, np.nan]], dtype=complex)
+        report = is_positive_definite(HermitianMatrix._built(e, np.zeros(2), np.zeros(2)))
+        assert report.verdict is Verdict.INDETERMINATE
+        assert report.pivots == () and report.failing_index == 1
+
+    def test_rows_carry_no_entry_bound(self):
+        m = HermitianMatrix([[2.0, 1j], [-1j, 2.0]])
+        assert m._bound.tolist() == [0.0, 0.0]
+
+    def test_exact_matrix_in_floating_mode_carries_its_rounding(self):
+        # the off-diagonal 2^60 + 1 rounds to 2^60; u ||Q||_F enters delta
+        big = 2**60 + 1
+        exact = HermitianMatrix([[GaussianRational(Fraction(v)) for v in row] for row in ((3, big), (big, 5))])
+        rounded = HermitianMatrix([[3.0, float(big)], [float(big), 5.0]])
+        got = is_positive_definite(exact, tol=1e-300)
+        plain = is_positive_definite(rounded, tol=1e-300)
+        assert got.verdict is plain.verdict is Verdict.NOT_POSITIVE_DEFINITE
+        assert got.tolerance_used - plain.tolerance_used >= 2.0**-53 * math.sqrt(2) * 2.0**60
 
 
 class TestAdmissibility:
@@ -236,7 +386,9 @@ class TestPositivity:
         m = HermitianMatrix([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]])
         report = is_positive_definite(m)
         assert report.verdict is Verdict.POSITIVE_DEFINITE
-        assert report.pivots == (1.0, 1.0, 1.0)
+        # the Cholesky pivots of E - delta I, delta = tol
+        assert report.tolerance_used == 1e-10
+        assert report.pivots == (0.9999999999, 0.9999999999, 0.9999999999)
 
     def test_frozen_two_by_two(self):
         m = HermitianMatrix([[3.0, -1.0], [-1.0, 3.0]])
@@ -458,6 +610,36 @@ class TestExactDecision:
             assert is_positive_definite(build_q_matrix(exact), mode="exact").verdict is floating
             verdicts.add(floating)
         assert verdicts == {Verdict.POSITIVE_DEFINITE, Verdict.NOT_POSITIVE_DEFINITE}
+
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 24),
+        seed=st.integers(0, 2**32),
+        level=st.floats(0.2, 1.2),
+        exponent=st.integers(-30, 30),
+    )
+    def test_floating_verdict_agrees_with_exact_up_to_24_disks(self, n, seed, level, exponent):
+        # centers and radii on a grid of step 2^(exponent - 8): the same
+        # values in both arithmetics, with denominators small enough for
+        # exact minors of order 24
+        rng = random.Random(seed)
+        points = set()
+        while len(points) < n:
+            points.add((rng.randrange(-256, 256), rng.randrange(-256, 256)))
+        points = sorted(points)
+        dmin = min(math.dist(p, q) for p, q in itertools.combinations(points, 2))
+        radii = [max(1, round(dmin * level * rng.uniform(0.8, 1.2))) for _ in points]
+        step = exponent - 8
+        c = DiskCollection(
+            [complex(math.ldexp(x, step), math.ldexp(y, step)) for x, y in points],
+            [math.ldexp(r, step) for r in radii],
+        )
+        floating = is_positive_definite(build_q_matrix(c)).verdict
+        if floating is not Verdict.INDETERMINATE:
+            unit = Fraction(2) ** step
+            exact = DiskCollection([(x * unit, y * unit) for x, y in points], [r * unit for r in radii])
+            assert is_positive_definite(build_q_matrix(exact), mode="exact").verdict is floating
 
 
 class TestOverlapMeasure:

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import naive_q_matrix, roots_of_unity
-from diskpd.core import build_q_matrix, is_positive_definite
+from diskpd.core import Verdict, build_q_matrix, is_positive_definite
 from diskpd.orthopoly import RationalPolynomial
+from diskpd.radius import maximal_radius
 from diskpd.symmetric import (
     a_matrix,
     circulant_spectrum,
@@ -126,6 +127,14 @@ class TestPositivityByT:
             sign_exact = positivity_by_t(n, r)
             report = is_positive_definite(build_q_matrix(regular_collection(n, r)))
             assert sign_exact == report.is_positive
+
+    @pytest.mark.parametrize("n", [8, 9, 12, 16, 24, 32, 48, 64])
+    def test_floating_decides_a_millionth_from_the_boundary(self, n):
+        rho = maximal_radius(n).rho
+        for r in (rho * (1 - 1e-6), rho * (1 + 1e-6)):
+            report = is_positive_definite(build_q_matrix(regular_collection(n, r)))
+            assert report.verdict is not Verdict.INDETERMINATE
+            assert report.is_positive == positivity_by_t(n, r)
 
     def test_validation(self):
         with pytest.raises(ValueError):
