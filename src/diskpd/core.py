@@ -574,8 +574,9 @@ def _decide_stack(e: np.ndarray, eps: np.ndarray, tol: float) -> list[Positivity
     E_ii + eps; else the eigenvector of the smallest eigenvalue of E, where
     the computed x^H E x is off by at most 3 gamma_(2n) |x|^T |E| |x| (a
     matrix-vector and a dot product, each a real one of length 2n, with
-    the rounding of the first carried through the second).  Every bound
-    is summed with upward rounding.  The certificate holds the upper bound
+    the rounding of the first carried through the second) plus
+    n (2n + 2) 2^-1074 for underflow (|x|^2 = 1 up to rounding).  Every
+    bound is summed with upward rounding.  The certificate holds the upper bound
     of x^H E* x and the index of the largest |x_i|.  A zero diagonal,
     which Cholesky cannot pass, takes delta = 0.  A matrix with a witness
     fails Cholesky, so a stack looks for witnesses before it factors the
@@ -634,8 +635,8 @@ def _decide_stack(e: np.ndarray, eps: np.ndarray, tol: float) -> list[Positivity
         norm2 = (ax * ax).sum(axis=1)
         rounding = 3 * _gamma(2 * n)
         for t, v, r, x2, i in zip(rest, value.tolist(), size.tolist(), norm2.tolist(), ax.argmax(axis=1).tolist()):
-            bound = _add_up(_add_up(v, _SLACK * rounding * r), _SLACK * float(eps[t]) * x2)
-            witnesses[t] = (bound, i, x2)
+            error = _SLACK * (rounding * r + float(eps[t]) * x2) + n * (2 * n + 2) * _ETA
+            witnesses[t] = (_add_up(v, error), i, x2)
     found = [bound <= -deltas[t] * x2 for t, (bound, _, x2) in enumerate(witnesses)]
     undecided = [t for t in range(len(ok)) if not found[t] and deltas[t]]
     if len(ok) > 1 and undecided:  # a stack of one has failed Cholesky already
