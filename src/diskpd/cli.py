@@ -92,7 +92,7 @@ def parse_collection_document(text: str) -> tuple[DiskCollection, dict]:
         if "radius" not in disk:
             raise SchemaError(f"{where}.radius: missing")
         rad = _parse_component(disk["radius"], f"{where}.radius")
-        if not float(rad) > 0:
+        if not rad > 0:
             raise SchemaError(f"{where}.radius: must be positive")
         centers.append((re, im))
         radii.append(rad)

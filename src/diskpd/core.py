@@ -97,9 +97,13 @@ def _center_to_complex(value) -> complex:
 
 
 def _to_float(value) -> float:
+    """float(value), with +-inf for a rational beyond the double range."""
     if isinstance(value, str):
-        return float(Fraction(value))
-    return float(value)
+        value = Fraction(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _cleared(values: list[Fraction]) -> tuple[list[int], int]:

@@ -1,7 +1,9 @@
 """Exact polynomial engine over the rationals.
 
 Dense big-rational polynomials with guaranteed real-root isolation
-(square-free factorization plus Sturm sequences), terminating Gauss
+(one Sturm chain of the square-free part, multiplicities from Yun's
+factors, one left-first bisection descent for every root query; a
+generalized chain gives the Cauchy index for interlacing), terminating Gauss
 hypergeometric series, Jacobi polynomials with generalized parameters,
 and the V-polynomial family that carries the zero structure of the
 circulant eigenvalue polynomials.
@@ -294,11 +296,20 @@ def _int_pseudo_rem(f: list[int], g: list[int]) -> tuple[list[int], bool]:
     return r, flipped
 
 
-def _sturm_chain(cs: list[int]) -> list[list[int]]:
-    """Sturm chain of a primitive integer polynomial (square-free input)."""
+def _sturm_chain(cs: list[int], second: list[int] | None = None) -> list[list[int]]:
+    """Generalized Sturm chain p0 = cs, p1 = second (default cs'), and
+    p_{k+1} = -rem(p_{k-1}, p_k) up to positive factors, ending at the last
+    nonzero remainder.
+
+    For a, b not roots of cs, _variations_at(chain, a) - _variations_at(chain, b)
+    is the Cauchy index of second/cs over (a, b): the poles of odd order
+    where the quotient jumps from -inf to +inf, minus those where it jumps
+    back.  With the default start on a square-free cs it counts the roots
+    of cs in (a, b], also when a or b is one.
+    """
     if len(cs) <= 1:
         return [cs]
-    chain = [cs, _int_primitive(_int_deriv(cs))]
+    chain = [cs, _int_primitive(_int_deriv(cs)) if second is None else second]
     while True:
         rem, flipped = _int_pseudo_rem(chain[-2], chain[-1])
         if not rem:
@@ -383,62 +394,26 @@ class RootIsolation:
         return len(self.intervals)
 
 
-def _isolate_on(chain, lo, hi) -> list[tuple[Fraction, Fraction]]:
-    out = []
-    stack = [(lo, _variations_at(chain, lo), hi, _variations_at(chain, hi))]
-    while stack:
-        a, va, b, vb = stack.pop()
-        k = va - vb
-        if k <= 0:
-            continue
-        if k == 1:
-            out.append((a, b))
-            continue
-        mid = (a + b) / 2
-        vm = _variations_at(chain, mid)
-        stack.append((a, va, mid, vm))
-        stack.append((mid, vm, b, vb))
-    out.sort()
-    return out
+def _sign_right_of(cs: list[int], a: Fraction) -> int:
+    """Sign of a square-free cs just right of a: at a root it is simple,
+    so the derivative has that sign."""
+    return _sign_at_int(cs, a) or _sign_at_int(_int_deriv(cs), a)
 
 
-def _refine_interval(cs, chain, a, b, width: Fraction):
-    """Shrink (a, b], known to contain exactly one root of cs, to <= width.
+def _refine_interval(cs, a, b, width: Fraction):
+    """Shrink (a, b], holding exactly one root of the square-free cs, to <= width.
 
-    Returns (lo, hi, root) where root is the exact rational root when a
-    bisection point hit it, else None.
+    Returns (lo, hi, root) where root is the exact rational root when b or
+    a bisection point is it, else None.
     """
-    sb = _sign_at_int(cs, b)
-    if sb == 0:
-        lo = max(a, b - width / 2)
-        return lo, b, b
-    sa = _sign_at_int(cs, a)
-    if sa == 0:
-        # the range endpoint itself is a root (outside the half-open range);
-        # fall back to Sturm-count bisection until the sign at a is usable
-        va = _variations_at(chain, a)
-        while b - a > width:
-            mid = (a + b) / 2
-            sm = _sign_at_int(cs, mid)
-            if sm == 0:
-                lo = max(a, mid - width / 2)
-                return lo, mid, mid
-            vm = _variations_at(chain, mid)
-            if va - vm == 1:
-                b = mid
-                sb = sm
-            else:
-                a, va, sa = mid, vm, sm
-            if sa != 0 and sb != 0:
-                break
-        if b - a <= width:
-            return a, b, None
+    if _sign_at_int(cs, b) == 0:
+        return max(a, b - width / 2), b, b
+    sa = _sign_right_of(cs, a)
     while b - a > width:
         mid = (a + b) / 2
         sm = _sign_at_int(cs, mid)
         if sm == 0:
-            lo = max(a, mid - width / 2)
-            return lo, mid, mid
+            return max(a, mid - width / 2), mid, mid
         if sm == sa:
             a = mid
         else:
@@ -446,43 +421,50 @@ def _refine_interval(cs, chain, a, b, width: Fraction):
     return a, b, None
 
 
+def _isolate_on(p: RationalPolynomial, lo: Fraction, hi: Fraction, width: Fraction):
+    """Yield (a, b, root, multiplicity) for each distinct root of p in
+    (lo, hi], left to right, with b - a <= width and root as in
+    _refine_interval.
+
+    One Sturm chain of the square-free part (the product of Yun's factors)
+    steers a lazy, left-first descent of the dyadic bisection tree of
+    (lo, hi]: a node is split while it holds two or more distinct roots,
+    so the intervals are disjoint by construction.  The one Yun factor
+    whose sign differs just right of a and at b has the root; it gives the
+    multiplicity and refines the interval.
+    """
+    yun = squarefree_decomposition(p)
+    factors = [(_poly_to_int(f), m) for f, m in yun]
+    square_free = math.prod((f for f, _ in yun), start=RationalPolynomial([1]))
+    chain = _sturm_chain(_poly_to_int(square_free))
+    stack = [(lo, _variations_at(chain, lo), hi, _variations_at(chain, hi))]
+    while stack:
+        a, va, b, vb = stack.pop()
+        if va - vb > 1:
+            mid = (a + b) / 2
+            vm = _variations_at(chain, mid)
+            stack += [(mid, vm, b, vb), (a, va, mid, vm)]
+        elif va - vb == 1:
+            cs, mult = next(
+                (cs, m) for cs, m in factors if _sign_at_int(cs, b) != _sign_right_of(cs, a)
+            )
+            yield *_refine_interval(cs, a, b, width), mult
+
+
 def _smallest_root(p: RationalPolynomial, lo: Fraction, hi: Fraction, width: Fraction):
     """Interval (a, b] of width <= width around the smallest root of p in
-    (lo, hi], or None when there is none.
-
-    Sturm counts of the square-free part steer one descent of the dyadic
-    bisection tree of _isolate_on, into the left half whenever it holds a
-    root, so the interval is the first that isolate_real_roots gives for a
-    square-free p; only that root is refined.
-    """
-    f = p.monic()
-    g = f.gcd(f.derivative())
-    if g.degree > 0:
-        f = f.exact_div(g)
-    cs = _poly_to_int(f)
-    chain = _sturm_chain(cs)
-    va, vb = _variations_at(chain, lo), _variations_at(chain, hi)
-    if va <= vb:
-        return None
-    while va - vb > 1:
-        mid = (lo + hi) / 2
-        vm = _variations_at(chain, mid)
-        if va > vm:
-            hi, vb = mid, vm
-        else:
-            lo, va = mid, vm
-    a, b, _ = _refine_interval(cs, chain, lo, hi, width)
-    return a, b
+    (lo, hi], or None when there is none: the first that _isolate_on
+    yields, so only that root is refined."""
+    return next(((a, b) for a, b, _, _ in _isolate_on(p, lo, hi, width)), None)
 
 
 def isolate_real_roots(p: RationalPolynomial, bounds=None, precision: float = 1e-9) -> RootIsolation:
     """Isolate all real roots of p in the half-open range (lo, hi].
 
     bounds is a pair (lo, hi); either end may be None for an automatic
-    (Cauchy) root bound.  Multiplicities come from an exact square-free
-    decomposition; isolation uses Sturm sequences on each square-free
-    factor and every returned interval is refined to at most `precision`
-    width.  Intervals of distinct roots are pairwise disjoint.
+    (Cauchy) root bound.  Intervals are pairwise disjoint and refined to at
+    most `precision` width; one Sturm chain of the square-free part isolates
+    them, and multiplicities come from Yun's factors (see _isolate_on).
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
@@ -494,41 +476,11 @@ def isolate_real_roots(p: RationalPolynomial, bounds=None, precision: float = 1e
     hi = bound if hi is None else Fraction(hi)
     if not lo < hi:
         raise ValueError("empty range: need lo < hi")
-    width = Fraction(precision)
 
-    found = []  # [a, b, mult, cs, chain, exact_root_or_None]
-    for factor, mult in squarefree_decomposition(p):
-        cs = _poly_to_int(factor)
-        chain = _sturm_chain(cs)
-        for a, b in _isolate_on(chain, lo, hi):
-            a, b, root = _refine_interval(cs, chain, a, b, width)
-            found.append([a, b, mult, cs, chain, root])
-    found.sort(key=lambda t: (t[0], t[1]))
-
-    # factors are coprime, so cross-factor intervals separate after enough
-    # refinement; same-factor intervals are disjoint by construction
-    for _ in range(4000):
-        overlap = False
-        for left, right in zip(found, found[1:]):
-            if right[0] < left[1]:  # (a2, b2] meets (a1, b1]
-                overlap = True
-                w = min(left[1] - left[0], right[1] - right[0]) / 2
-                left[0], left[1], left[5] = _refine_interval(
-                    left[3], left[4], left[0], left[1], w
-                )
-                right[0], right[1], right[5] = _refine_interval(
-                    right[3], right[4], right[0], right[1], w
-                )
-        if not overlap:
-            break
-        found.sort(key=lambda t: (t[0], t[1]))
-    else:
-        raise RuntimeError("failed to separate root intervals")
-
-    intervals = tuple((a, b, mult) for a, b, mult, _, _, _ in found)
+    found = list(_isolate_on(p, lo, hi, Fraction(precision)))
+    intervals = tuple((a, b, mult) for a, b, _, mult in found)
     refined = tuple(
-        float(root) if root is not None else float((a + b) / 2)
-        for a, b, _, _, _, root in found
+        float(root) if root is not None else float((a + b) / 2) for a, b, root, _ in found
     )
     return RootIsolation(intervals=intervals, refined=refined)
 
@@ -684,24 +636,6 @@ class ZeroStructureReport:
     passed: bool
 
 
-def _isolations_disjoint(iso_a: RootIsolation, iso_b: RootIsolation) -> bool:
-    merged = sorted(
-        [(a, b, 0) for a, b, _ in iso_a.intervals] + [(a, b, 1) for a, b, _ in iso_b.intervals]
-    )
-    return all(left[1] <= right[0] for left, right in zip(merged, merged[1:]))
-
-
-def _disjoint_isolations(p, q, bounds) -> tuple[RootIsolation, RootIsolation]:
-    precision = 1e-9
-    for _ in range(40):
-        iso_p = isolate_real_roots(p, bounds, precision)
-        iso_q = isolate_real_roots(q, bounds, precision)
-        if _isolations_disjoint(iso_p, iso_q):
-            return iso_p, iso_q
-        precision *= 1e-6
-    raise RuntimeError("could not separate root sets; polynomials may share a root")
-
-
 def zero_structure_check(n: int, m: int) -> ZeroStructureReport:
     """Verify the exact zero pattern of V_{n,m}.
 
@@ -709,6 +643,19 @@ def zero_structure_check(n: int, m: int) -> ZeroStructureReport:
     larger m: n-m-1 simple roots in (1, inf) plus a root of multiplicity
     2m-n at x = 1.  When both V_{n,m} and V_{n,m-1} fall in the first
     regime their roots must strictly interlace, V_{n,m}'s first.
+
+    Interlacing is read from the Cauchy index I of V_{n,m-1}/V_{n,m} over
+    (1, inf), the variation drop of one generalized Sturm chain started at
+    (V_{n,m}, V_{n,m-1}).  Each real pole contributes at most 1 to |I|, and
+    V_{n,m} has degree m-1, so |I| = m-1 exactly when V_{n,m} has m-1
+    simple roots beyond 1, none shared with V_{n,m-1}, and every pole jumps
+    the same way: sign(V_{n,m-1} V'_{n,m}) is constant on them.  V'_{n,m}
+    alternates in sign over consecutive simple roots, so V_{n,m-1} does
+    too and has a root in each of the m-2 gaps; having degree m-2 it has
+    no other.  Conversely strict interlacing makes every jump alike.  The
+    index theorem needs V_{n,m}(1) != 0 at the endpoint; a root at 1
+    leaves at most m-2 roots beyond it, so there interlacing fails
+    outright.
     """
     if n < 4:
         raise ValueError("need n >= 4")
@@ -736,18 +683,10 @@ def zero_structure_check(n: int, m: int) -> ZeroStructureReport:
 
     interlaces: bool | None = None
     if 3 <= m <= nu:
-        prev = v_polynomial(n, m - 1)
-        if poly.gcd(prev).degree > 0:
-            interlaces = False
-        else:
-            iso_m, iso_prev = _disjoint_isolations(poly, prev, (Fraction(1), None))
-            merged = sorted(
-                [(a, b, "xi") for a, b, _ in iso_m.intervals]
-                + [(a, b, "eta") for a, b, _ in iso_prev.intervals]
-            )
-            labels = [t[2] for t in merged]
-            expected = ["xi", "eta"] * (m - 2) + ["xi"]
-            interlaces = labels == expected
+        # the count changes only at roots of V_{n,m}, all below its Cauchy bound
+        chain = _sturm_chain(_poly_to_int(poly), _poly_to_int(v_polynomial(n, m - 1)))
+        index = _variations_at(chain, Fraction(1)) - _variations_at(chain, _cauchy_bound(poly))
+        interlaces = mult_at_one == 0 and abs(index) == m - 1
 
     passed = (
         mult_at_one == expected_mult

@@ -5,7 +5,8 @@ radius r at the n-th roots of unity form a positive collection.  Closed
 values: rho_2 = sqrt(2), rho_3 = 1.  For n >= 4, rho_n = sqrt(1 + mu_n)
 where mu_n is the smallest root different from -1 of the degree-nu
 central polynomial obtained by expanding z^nu F(-nu, nu-n; 1-n; -1/z),
-nu = floor(n/2).  The root is isolated and refined exactly; no floating
+nu = floor(n/2).  It is the smallest root in the half-open range (-1, 0],
+which leaves -1 out; it is isolated and refined exactly, and no floating
 fallback touches rho_n itself.
 
 Also here: the two-sided sine bounds for rho_n, the overlap coefficient
@@ -80,11 +81,11 @@ def maximal_radius(n: int, precision: float = 1e-13) -> RadiusResult:
     """Compute rho_n, exactly isolated and refined to `precision`.
 
     n = 2 and n = 3 are the closed cases sqrt(2) and 1.  For n >= 4 the
-    central polynomial is built exactly, the known factor (z+1) is divided
-    out as often as it occurs, and the smallest remaining root in (-1, 0]
-    is isolated by bisection on Sturm counts and refined to the requested
-    interval width; the other roots are left alone.  Raises if no such
-    root exists (the structure of the central polynomial guarantees one).
+    central polynomial is built exactly, and its smallest root in (-1, 0]
+    (the known root -1 lies outside) is isolated by bisection on Sturm
+    counts and refined to the requested interval width; the other roots
+    are left alone.  Raises if no such root exists (the structure of the
+    central polynomial guarantees one).
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -108,11 +109,7 @@ def maximal_radius(n: int, precision: float = 1e-13) -> RadiusResult:
             beta=rho / beta_den,
         )
 
-    poly = central_polynomial(n)
-    z_plus_1 = RationalPolynomial((1, 1))
-    while poly(-1) == 0:
-        poly = poly.exact_div(z_plus_1)
-    interval = _smallest_root(poly, Fraction(-1), Fraction(0), Fraction(precision))
+    interval = _smallest_root(central_polynomial(n), Fraction(-1), Fraction(0), Fraction(precision))
     if interval is None:
         raise ArithmeticError(
             f"internal inconsistency: central polynomial for n={n} has no root in (-1, 0]"

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -140,6 +141,20 @@ class TestCheckCommand:
         assert (code, out) == (2, "")
         assert err == "error: disks: centers must be pairwise distinct\n"
 
+    @pytest.mark.parametrize(
+        "disk, field",
+        [
+            ({"center": ["1" + "0" * 400, "0"], "radius": "1"}, "center"),
+            ({"center": ["0", "0"], "radius": "1" + "0" * 400}, "radius"),
+        ],
+    )
+    def test_rational_beyond_the_double_range_exits_two(self, disk, field, capsys, monkeypatch):
+        doc = json.dumps({"disks": [disk, {"center": ["3", "0"], "radius": "1"}]})
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        code, out, err = run(["check", "-"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: disks: {field} ") and "finite" in err
+
     def test_malformed_document_exits_two(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO('{"disks": []}'))
         code, out, err = run(["check", "-"], capsys)
@@ -208,6 +223,12 @@ class TestRhoCommand:
         _, first, _ = run(["rho", "--n-range", "2:6", "--csv", "--limits"], capsys)
         _, second, _ = run(["rho", "--n-range", "2:6", "--csv", "--limits"], capsys)
         assert first == second
+
+    def test_golden_csv_with_limits(self, capsys):
+        code, out, _ = run(["rho", "--n-range", "2:64", "--csv", "--limits"], capsys)
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "bdbf3995e35e2162297d4fa33670511bcb6d1d5b922bdbebbbe6898637182aee"
 
     def test_out_of_domain_exits_two(self, capsys):
         code, _, err = run(["rho", "--n", "1"], capsys)

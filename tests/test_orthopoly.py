@@ -284,6 +284,15 @@ class TestRootIsolation:
         with pytest.raises(ValueError):
             isolate_real_roots(RationalPolynomial([1, 1]), (0, 1), 0.0)
 
+    def test_factors_closer_than_the_precision(self):
+        root = Fraction(1, 3)
+        near = root + Fraction(1, 10**11)
+        p = _poly_with_roots(root, root, near)
+        iso = isolate_real_roots(p, (0, 1), 1e-9)
+        (a1, b1, m1), (a2, b2, m2) = iso.intervals
+        assert (m1, m2) == (2, 1)
+        assert a1 < root <= b1 <= a2 < near <= b2
+
     def test_matches_numpy_companion_on_random_integer_polys(self):
         rng = np.random.default_rng(7)
         for _ in range(60):
@@ -321,6 +330,29 @@ class TestSturmVsCompanionCheck:
         checks = {check.name: check.passed for check in verify.orthopoly_suite(seed=1)}
         assert checks["orthopoly.sturm-vs-companion"] is False
 
+    @pytest.mark.parametrize(
+        "v3, v2",
+        [
+            # V_{8,2} coprime to V_{8,3}, with its root beyond both of V_{8,3}'s
+            (None, [-1000, 1]),
+            # (x-1)(x-3) against 2-x: with the root at the endpoint 1 the
+            # variation drop over (1, inf) reaches m-1 without interlacing
+            ([3, -4, 1], [2, -1]),
+        ],
+    )
+    def test_root_outside_the_gaps_fails_interlacing(self, v3, v2, monkeypatch):
+        v = orthopoly.v_polynomial
+        swapped = {(8, 2): v2, (8, 3): v3}
+
+        def patched(n, m):
+            coefficients = swapped.get((n, m))
+            return v(n, m) if coefficients is None else RationalPolynomial(coefficients)
+
+        monkeypatch.setattr(orthopoly, "v_polynomial", patched)
+        report = zero_structure_check(8, 3)
+        assert report.interlaces_previous is False
+        assert report.passed is False
+
 
 def _reduced_central(n):
     """Central polynomial of n with every factor z + 1 divided out."""
@@ -346,6 +378,8 @@ class TestSmallestRoot:
         bounds = (Fraction(-1), Fraction(0))
         first = isolate_real_roots(poly, bounds, 1e-13).intervals[0][:2]
         assert _smallest_root(poly, *bounds, self.WIDTH) == first
+        # the root -1 lies outside (-1, 0], so dividing out z + 1 changes nothing
+        assert _smallest_root(central_polynomial(n), *bounds, self.WIDTH) == first
 
     @pytest.mark.parametrize("root", [Fraction(-1, 2), Fraction(-3, 4)])
     def test_root_on_a_bisection_point(self, root):
