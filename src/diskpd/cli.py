@@ -27,6 +27,7 @@ from . import radius, verify
 from .core import (
     DiskCollection,
     Verdict,
+    _to_float,
     build_q_matrix,
     is_admissible,
     is_positive_definite,
@@ -99,6 +100,11 @@ def parse_collection_document(text: str) -> tuple[DiskCollection, dict]:
     try:
         collection = DiskCollection(centers, radii)
     except ValueError as exc:
+        # only a failed document pays for finding the field, and no digits are echoed
+        for idx, (center, rad) in enumerate(zip(centers, radii)):
+            for field, values in (("center", center), ("radius", (rad,))):
+                if not all(math.isfinite(_to_float(v)) for v in values):
+                    raise SchemaError(f"disks[{idx}].{field}: not finite as a double") from exc
         raise SchemaError(f"disks: {exc}") from exc
     return collection, metadata
 

@@ -1,12 +1,13 @@
 """Exact polynomial engine over the rationals.
 
-Dense big-rational polynomials with guaranteed real-root isolation
-(one Sturm chain of the square-free part, multiplicities from Yun's
-factors, one left-first bisection descent for every root query; a
-generalized chain gives the Cauchy index for interlacing), terminating Gauss
-hypergeometric series, Jacobi polynomials with generalized parameters,
-and the V-polynomial family that carries the zero structure of the
-circulant eigenvalue polynomials.
+Dense polynomials stored as integer numerators over one positive
+denominator, with guaranteed real-root isolation (one Sturm chain of the
+square-free part, multiplicities from Yun's factors, one left-first
+bisection descent for every root query; a generalized chain gives the
+Cauchy index for interlacing), terminating Gauss hypergeometric series,
+Jacobi polynomials with generalized parameters, and the V-polynomial
+family that carries the zero structure of the circulant eigenvalue
+polynomials.
 
 Everything here is exact except the final floating refinement of
 isolated roots.  All objects are immutable and safe to share.
@@ -49,21 +50,35 @@ def _is_nonpositive_integer(q: Fraction) -> bool:
 
 
 class RationalPolynomial:
-    """Dense univariate polynomial with Fraction coefficients (index = degree).
+    """Dense univariate polynomial with rational coefficients (index = degree).
 
-    Canonical form strips trailing zero coefficients; the zero polynomial
-    has an empty coefficient tuple and degree -1.  Instances are immutable:
-    all arithmetic returns new objects, and exact operations (including
-    evaluation at int/Fraction points) never round.
+    Stored as integer numerators over one denominator, in canonical form:
+    no trailing zero numerator, and a positive denominator coprime to the
+    numerators' content.  The zero polynomial has no numerators, the
+    denominator 1 and degree -1.  `coefficients` gives the Fraction values.
+    Instances are immutable: all arithmetic returns new objects, and exact
+    operations (including evaluation at int/Fraction points) run on the
+    integers and never round.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coefficients=()):
-        coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self._coeffs = tuple(coeffs)
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coefficients]
+        den = math.lcm(*(c.denominator for c in cs))
+        canonical = self._of([c.numerator * (den // c.denominator) for c in cs], den)
+        self._num, self._den = canonical._num, canonical._den
+
+    @classmethod
+    def _of(cls, num: list[int], den: int = 1) -> "RationalPolynomial":
+        """The polynomial num/den in canonical form, from integer numerators
+        (a list it may change) and den != 0."""
+        while num and not num[-1]:
+            num.pop()
+        g = math.gcd(den, *num) if den > 0 else -math.gcd(den, *num)
+        p = object.__new__(cls)
+        p._num, p._den = (tuple(num), den) if g == 1 else (tuple(c // g for c in num), den // g)
+        return p
 
     @classmethod
     def monomial(cls, degree: int, coefficient=1) -> "RationalPolynomial":
@@ -71,51 +86,53 @@ class RationalPolynomial:
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        return tuple(Fraction(c, self._den) for c in self._num)
 
     @property
     def degree(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._num
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self._coeffs:
-            return Fraction(0)
-        return self._coeffs[-1]
+        return Fraction(self._num[-1], self._den) if self._num else Fraction(0)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RationalPolynomial):
-            return self._coeffs == other._coeffs
+            return self._num == other._num and self._den == other._den
         if isinstance(other, (int, Fraction)):
-            return self._coeffs == (() if other == 0 else (Fraction(other),))
+            return self == RationalPolynomial([other])
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._coeffs)
+        return hash((self._num, self._den))
 
     def __repr__(self):
-        return f"RationalPolynomial({[str(c) for c in self._coeffs]})"
+        return f"RationalPolynomial({[str(c) for c in self.coefficients]})"
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
+        a, b, den = self._num, other._num, self._den
+        if other._den != den:
+            den = math.lcm(den, other._den)
+            a = [c * (den // self._den) for c in a]
+            b = [c * (den // other._den) for c in b]
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return RationalPolynomial(out)
+        return RationalPolynomial._of(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalPolynomial([-c for c in self._coeffs])
+        return RationalPolynomial._of([-c for c in self._num], self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -128,17 +145,14 @@ class RationalPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, RationalPolynomial):
-            a, b = self._coeffs, other._coeffs
-            if not a or not b:
-                return RationalPolynomial()
-            out = [Fraction(0)] * (len(a) + len(b) - 1)
-            for i, ca in enumerate(a):
-                if ca:
-                    for j, cb in enumerate(b):
-                        out[i + j] += ca * cb
-            return RationalPolynomial(out)
+            out = [0] * max(0, len(self._num) + len(other._num) - 1)
+            for i, a in enumerate(self._num):
+                for j, b in enumerate(other._num):
+                    out[i + j] += a * b
+            return RationalPolynomial._of(out, self._den * other._den)
         if isinstance(other, (int, Fraction)):
-            return RationalPolynomial([c * other for c in self._coeffs])
+            s = other.numerator
+            return RationalPolynomial._of([c * s for c in self._num], self._den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -146,16 +160,7 @@ class RationalPolynomial:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = RationalPolynomial([1])
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return math.prod([self] * exponent, start=RationalPolynomial([1]))
 
     @staticmethod
     def _coerce(other):
@@ -166,21 +171,26 @@ class RationalPolynomial:
         return NotImplemented
 
     def __call__(self, x):
-        """Horner evaluation; exact for int/Fraction arguments."""
+        """Horner evaluation; exact for int/Fraction arguments.  At a float each
+        coefficient enters as c / den, the correctly rounded float(c/den)."""
+        if self._num and isinstance(x, (int, Fraction)):
+            q = x.denominator
+            return Fraction(_homogeneous(self._num, x.numerator, q), q ** self.degree * self._den)
+        coeffs = [c / self._den for c in self._num] if type(x) is float else self.coefficients
         acc = 0 * x
-        for c in reversed(self._coeffs):
+        for c in reversed(coeffs):
             acc = acc * x + c
         return acc
 
     def derivative(self) -> "RationalPolynomial":
-        return RationalPolynomial([i * c for i, c in enumerate(self._coeffs)][1:])
+        return RationalPolynomial._of(_int_deriv(self._num), self._den)
 
     def compose(self, inner: "RationalPolynomial") -> "RationalPolynomial":
         """Exact polynomial composition self(inner(x))."""
         acc = RationalPolynomial()
-        for c in reversed(self._coeffs):
-            acc = acc * inner + RationalPolynomial([c])
-        return acc
+        for c in reversed(self._num):
+            acc = acc * inner + c
+        return acc * Fraction(1, self._den)
 
     def __divmod__(self, other):
         other = self._coerce(other)
@@ -188,21 +198,10 @@ class RationalPolynomial:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self._coeffs)
-        div = other._coeffs
-        dd = len(div) - 1
-        lead = div[-1]
-        quo = [Fraction(0)] * max(0, len(rem) - dd)
-        while len(rem) - 1 >= dd and rem:
-            factor = rem[-1] / lead
-            shift = len(rem) - 1 - dd
-            quo[shift] = factor
-            for i, c in enumerate(div):
-                rem[shift + i] -= factor * c
-            rem.pop()
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return RationalPolynomial(quo), RationalPolynomial(rem)
+        # s*num = q*other_num + r, so self = other * q*other_den/(s*den) + r/(s*den)
+        q, r, s = _pseudo_divmod(self._num, other._num)
+        quo = RationalPolynomial._of([c * other._den for c in q], s * self._den)
+        return quo, RationalPolynomial._of(r, s * self._den)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -219,8 +218,7 @@ class RationalPolynomial:
     def monic(self) -> "RationalPolynomial":
         if self.is_zero:
             return self
-        lead = self._coeffs[-1]
-        return RationalPolynomial([c / lead for c in self._coeffs])
+        return RationalPolynomial._of(list(self._num), self._num[-1])
 
     def gcd(self, other: "RationalPolynomial") -> "RationalPolynomial":
         """Monic greatest common divisor (via integer remainder sequences)."""
@@ -229,11 +227,10 @@ class RationalPolynomial:
             return other.monic()
         if other.is_zero:
             return self.monic()
-        a = _poly_to_int(self)
-        b = _poly_to_int(other)
+        a, b = _int_primitive(self._num), _int_primitive(other._num)
         while b:
-            a, b = b, _int_primitive(_int_pseudo_rem(a, b)[0])
-        return RationalPolynomial(a).monic()
+            a, b = b, _int_primitive(_pseudo_divmod(a, b)[1])
+        return RationalPolynomial._of(a).monic()
 
 
 _X = RationalPolynomial((0, 1))
@@ -241,65 +238,56 @@ _X_MINUS_1 = RationalPolynomial((-1, 1))
 
 
 # ---------------------------------------------------------------------------
-# Integer-coefficient kernels for gcd and Sturm sequences.  Every chain
-# element is kept primitive; multiplying a chain element by a positive
-# constant does not change sign variation counts, and pseudo-division sign
-# flips are tracked explicitly.
+# Integer-coefficient kernels: pseudo-division, gcd and Sturm sequences on
+# numerator lists.  Every chain element is kept primitive; multiplying a
+# chain element by a positive constant does not change sign variation
+# counts, and the sign of the pseudo-division factor is tracked explicitly.
 # ---------------------------------------------------------------------------
 
 
-def _int_primitive(cs: list[int]) -> list[int]:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    if not cs:
-        return cs
-    g = 0
-    for c in cs:
-        g = math.gcd(g, c)
-        if g == 1:
-            return cs
-    return [c // g for c in cs]
+def _int_primitive(cs):
+    """cs divided by its content; cs has no trailing zero."""
+    g = math.gcd(*cs)
+    return cs if g <= 1 else [c // g for c in cs]
 
 
-def _int_deriv(cs: list[int]) -> list[int]:
+def _int_deriv(cs) -> list[int]:
     return [i * c for i, c in enumerate(cs)][1:]
 
 
-def _poly_to_int(p: RationalPolynomial) -> list[int]:
-    """Primitive integer coefficient list with the same sign as p."""
-    if p.is_zero:
-        return []
-    denom = math.lcm(*(c.denominator for c in p.coefficients))
-    return _int_primitive([int(c * denom) for c in p.coefficients])
+def _pseudo_divmod(f, g) -> tuple[list[int], list[int], int]:
+    """Integer pseudo-division of f by a nonzero g: (q, r, s) with
+    s*f = q*g + r, deg r < deg g and s = lead(g)^k.
 
-
-def _int_pseudo_rem(f: list[int], g: list[int]) -> tuple[list[int], bool]:
-    """Pseudo-remainder of f by g over the integers.
-
-    Returns (r, flipped) where r equals a constant multiple of the true
-    remainder of f by g, and flipped is True when that constant is negative.
+    A step whose leading coefficient lead(g) divides takes the exact
+    quotient; every other step scales by lead(g) and adds 1 to k.
     """
     lg = g[-1]
     r = list(f)
-    flipped = False
-    while r and len(r) >= len(g):
+    q = [0] * max(0, len(f) - len(g) + 1)
+    s = 1
+    while len(r) >= len(g):
         lr = r[-1]
         shift = len(r) - len(g)
-        r = [lg * c for c in r]
-        if lg < 0:
-            flipped = not flipped
+        t, rest = divmod(lr, lg)
+        if rest:
+            r = [lg * c for c in r]
+            q = [lg * c for c in q]
+            s *= lg
+            t = lr
+        q[shift] = t
         for i, gc in enumerate(g):
-            r[shift + i] -= lr * gc
+            r[shift + i] -= t * gc
         r.pop()
         while r and r[-1] == 0:
             r.pop()
-    return r, flipped
+    return q, r, s
 
 
-def _sturm_chain(cs: list[int], second: list[int] | None = None) -> list[list[int]]:
+def _sturm_chain(cs, second=None) -> list[list[int]]:
     """Generalized Sturm chain p0 = cs, p1 = second (default cs'), and
     p_{k+1} = -rem(p_{k-1}, p_k) up to positive factors, ending at the last
-    nonzero remainder.
+    nonzero remainder; every element is a primitive integer coefficient list.
 
     For a, b not roots of cs, _variations_at(chain, a) - _variations_at(chain, b)
     is the Cauchy index of second/cs over (a, b): the poles of odd order
@@ -307,40 +295,40 @@ def _sturm_chain(cs: list[int], second: list[int] | None = None) -> list[list[in
     back.  With the default start on a square-free cs it counts the roots
     of cs in (a, b], also when a or b is one.
     """
+    cs = _int_primitive(cs)
     if len(cs) <= 1:
         return [cs]
-    chain = [cs, _int_primitive(_int_deriv(cs)) if second is None else second]
+    chain = [cs, _int_primitive(_int_deriv(cs) if second is None else second)]
     while True:
-        rem, flipped = _int_pseudo_rem(chain[-2], chain[-1])
+        _, rem, s = _pseudo_divmod(chain[-2], chain[-1])
         if not rem:
             break
-        if flipped:
-            rem = [-c for c in rem]
-        chain.append(_int_primitive([-c for c in rem]))
+        chain.append(_int_primitive([-c for c in rem] if s > 0 else rem))
     return chain
 
 
-def _sign_at_int(cs: list[int], x: Fraction) -> int:
-    """Sign of the integer polynomial at a rational point (exact)."""
-    if not cs:
-        return 0
-    num, den = x.numerator, x.denominator
-    val = cs[-1]
-    dpow = 1
+def _homogeneous(cs, num: int, den: int) -> int:
+    """den^deg * cs(num/den) for a nonzero integer coefficient list cs."""
+    val, dpow = cs[-1], 1
     for c in reversed(cs[:-1]):
         dpow *= den
         val = val * num + c * dpow
+    return val
+
+
+def _sign_at(cs, num: int, den: int) -> int:
+    """Sign of the integer polynomial at num/den, den > 0 (exact)."""
+    val = _homogeneous(cs, num, den) if cs else 0
     return (val > 0) - (val < 0)
 
 
 def _variations_at(chain: list[list[int]], x: Fraction) -> int:
-    signs = [s for s in (_sign_at_int(p, x) for p in chain) if s != 0]
+    signs = [s for s in (_sign_at(p, *x.as_integer_ratio()) for p in chain) if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def _cauchy_bound(p: RationalPolynomial) -> Fraction:
-    lead = abs(p.leading_coefficient)
-    return 1 + max(abs(c) for c in p.coefficients) / lead
+    return 1 + Fraction(max(abs(c) for c in p._num), abs(p._num[-1]))
 
 
 def squarefree_decomposition(p: RationalPolynomial) -> list[tuple[RationalPolynomial, int]]:
@@ -394,31 +382,34 @@ class RootIsolation:
         return len(self.intervals)
 
 
-def _sign_right_of(cs: list[int], a: Fraction) -> int:
+def _sign_right_of(cs, a: Fraction) -> int:
     """Sign of a square-free cs just right of a: at a root it is simple,
     so the derivative has that sign."""
-    return _sign_at_int(cs, a) or _sign_at_int(_int_deriv(cs), a)
+    return _sign_at(cs, *a.as_integer_ratio()) or _sign_at(_int_deriv(cs), *a.as_integer_ratio())
 
 
-def _refine_interval(cs, a, b, width: Fraction):
+def _refine_interval(cs, a: Fraction, b: Fraction, width: Fraction):
     """Shrink (a, b], holding exactly one root of the square-free cs, to <= width.
 
     Returns (lo, hi, root) where root is the exact rational root when b or
-    a bisection point is it, else None.
+    a bisection point is it, else None.  The bisection keeps integer
+    numerators lo, hi over one denominator that doubles at each step.
     """
-    if _sign_at_int(cs, b) == 0:
+    if _sign_at(cs, *b.as_integer_ratio()) == 0:
         return max(a, b - width / 2), b, b
     sa = _sign_right_of(cs, a)
-    while b - a > width:
-        mid = (a + b) / 2
-        sm = _sign_at_int(cs, mid)
+    den = math.lcm(a.denominator, b.denominator)
+    lo, hi = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+    span = (hi - lo) * width.denominator
+    while span > width.numerator * den:
+        mid = lo + hi
+        lo, hi, den = 2 * lo, 2 * hi, 2 * den
+        sm = _sign_at(cs, mid, den)
         if sm == 0:
-            return max(a, mid - width / 2), mid, mid
-        if sm == sa:
-            a = mid
-        else:
-            b = mid
-    return a, b, None
+            root = Fraction(mid, den)
+            return max(Fraction(lo, den), root - width / 2), root, root
+        lo, hi = (mid, hi) if sm == sa else (lo, mid)
+    return Fraction(lo, den), Fraction(hi, den), None
 
 
 def _isolate_on(p: RationalPolynomial, lo: Fraction, hi: Fraction, width: Fraction):
@@ -434,9 +425,8 @@ def _isolate_on(p: RationalPolynomial, lo: Fraction, hi: Fraction, width: Fracti
     multiplicity and refines the interval.
     """
     yun = squarefree_decomposition(p)
-    factors = [(_poly_to_int(f), m) for f, m in yun]
     square_free = math.prod((f for f, _ in yun), start=RationalPolynomial([1]))
-    chain = _sturm_chain(_poly_to_int(square_free))
+    chain = _sturm_chain(square_free._num)
     stack = [(lo, _variations_at(chain, lo), hi, _variations_at(chain, hi))]
     while stack:
         a, va, b, vb = stack.pop()
@@ -446,7 +436,9 @@ def _isolate_on(p: RationalPolynomial, lo: Fraction, hi: Fraction, width: Fracti
             stack += [(mid, vm, b, vb), (a, va, mid, vm)]
         elif va - vb == 1:
             cs, mult = next(
-                (cs, m) for cs, m in factors if _sign_at_int(cs, b) != _sign_right_of(cs, a)
+                (f._num, m)
+                for f, m in yun
+                if _sign_at(f._num, *b.as_integer_ratio()) != _sign_right_of(f._num, a)
             )
             yield *_refine_interval(cs, a, b, width), mult
 
@@ -525,13 +517,13 @@ def _reversed_hypergeometric_polynomial(a: int, b, c, degree: int) -> RationalPo
     coefficient of z^(degree-k).  Raises if the series has more than
     degree + 1 terms, since the result would then not be a polynomial.
     """
-    series = hypergeometric_polynomial(a, b, c).coefficients
-    if len(series) > degree + 1:
-        raise ValueError(f"series of length {len(series)} exceeds degree {degree}")
-    coeffs = [Fraction(0)] * (degree + 1)
-    for k, f in enumerate(series):
-        coeffs[degree - k] = -f if k % 2 else f
-    return RationalPolynomial(coeffs)
+    series = hypergeometric_polynomial(a, b, c)
+    if series.degree > degree:
+        raise ValueError(f"series of length {series.degree + 1} exceeds degree {degree}")
+    num = [0] * (degree + 1)
+    for k, f in enumerate(series._num):
+        num[degree - k] = -f if k % 2 else f
+    return RationalPolynomial._of(num, series._den)
 
 
 @lru_cache(maxsize=None)
@@ -672,20 +664,22 @@ def zero_structure_check(n: int, m: int) -> ZeroStructureReport:
     expected_mult = 2 * m - n if m >= nu + 1 else 0
     expected_beyond = m - 1 if m <= nu else n - m - 1
 
-    all_simple = poly.gcd(poly.derivative()).degree == 0 if m <= nu else (
-        reduced.gcd(reduced.derivative()).degree == 0
+    # poly = (x-1)^mult_at_one reduced with reduced(1) != 0, so each Yun
+    # factor of reduced has an exact Sturm count over (1, bound]
+    yun = squarefree_decomposition(reduced)
+    all_simple = all(k == 1 for _, k in yun) and (m > nu or mult_at_one <= 1)
+    bound = _cauchy_bound(reduced)
+    beyond = sum(
+        k * (_variations_at(chain, Fraction(1)) - _variations_at(chain, bound))
+        for f, k in yun
+        for chain in [_sturm_chain(f._num)]
     )
-    if reduced.degree > 0:
-        iso = isolate_real_roots(reduced, (Fraction(1), None), 1e-9)
-        beyond = iso.count_with_multiplicity
-    else:
-        beyond = 0
 
     interlaces: bool | None = None
     if 3 <= m <= nu:
-        # the count changes only at roots of V_{n,m}, all below its Cauchy bound
-        chain = _sturm_chain(_poly_to_int(poly), _poly_to_int(v_polynomial(n, m - 1)))
-        index = _variations_at(chain, Fraction(1)) - _variations_at(chain, _cauchy_bound(poly))
+        # the count changes only at roots of V_{n,m}: 1 and reduced's, all below bound
+        chain = _sturm_chain(poly._num, v_polynomial(n, m - 1)._num)
+        index = _variations_at(chain, Fraction(1)) - _variations_at(chain, bound)
         interlaces = mult_at_one == 0 and abs(index) == m - 1
 
     passed = (

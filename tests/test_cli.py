@@ -153,7 +153,8 @@ class TestCheckCommand:
         monkeypatch.setattr("sys.stdin", io.StringIO(doc))
         code, out, err = run(["check", "-"], capsys)
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: disks: {field} ") and "finite" in err
+        assert err.startswith(f"error: disks[0].{field}: ") and "finite" in err
+        assert "0" * 20 not in err
 
     def test_malformed_document_exits_two(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO('{"disks": []}'))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -24,7 +25,9 @@ from diskpd.radius import central_polynomial
 from diskpd.symmetric import t_polynomial
 
 fractions = st.fractions(max_denominator=50)
-small_polys = st.lists(st.integers(-9, 9), min_size=0, max_size=7).map(RationalPolynomial)
+small_polys = st.lists(
+    st.fractions(-9, 9, max_denominator=12), min_size=0, max_size=7
+).map(RationalPolynomial)
 
 
 class TestRationalPolynomial:
@@ -38,8 +41,29 @@ class TestRationalPolynomial:
     @given(small_polys, small_polys, fractions)
     def test_evaluation_is_a_ring_homomorphism(self, p, q, x):
         assert (p + q)(x) == p(x) + q(x)
+        assert (p - q)(x) == p(x) - q(x)
         assert (p * q)(x) == p(x) * q(x)
         assert (-p)(x) == -p(x)
+
+    @given(small_polys, st.integers(1, 30), small_polys)
+    def test_equal_values_compare_and_hash_equal(self, p, k, q):
+        written = [f"{c.numerator * k}/{c.denominator * k}" for c in p.coefficients]
+        same = [
+            RationalPolynomial(written + ["0"] * 2),
+            RationalPolynomial([*p.coefficients, Fraction(0, k)]),
+            p * k * Fraction(1, k),
+            p + q - q,
+        ]
+        for other in same:
+            assert other == p and hash(other) == hash(p)
+            assert other.coefficients == p.coefficients
+
+    @given(small_polys, st.floats(-1e3, 1e3))
+    def test_float_evaluation_is_horner_over_float_coefficients(self, p, x):
+        acc = 0 * x
+        for c in reversed(p.coefficients):
+            acc = acc * x + float(c)
+        assert p(x).hex() == acc.hex()
 
     @given(small_polys, small_polys)
     def test_divmod_reconstructs(self, f, g):
@@ -292,6 +316,26 @@ class TestRootIsolation:
         (a1, b1, m1), (a2, b2, m2) = iso.intervals
         assert (m1, m2) == (2, 1)
         assert a1 < root <= b1 <= a2 < near <= b2
+
+    def test_non_dyadic_bounds_with_a_root_on_a_bisection_point(self):
+        lo, hi = Fraction(1, 3), Fraction(5, 7)
+        # (1/3, 5/7] splits at 11/21; refining (1/3, 11/21] then tries 9/21
+        # and hits 10/21; 5/7 is the included right end, 1/3 the excluded left
+        roots = [Fraction(10, 21), hi]
+        p = _poly_with_roots(lo, *roots, 2)
+        iso = isolate_real_roots(p, (lo, hi), 1e-12)
+        assert iso.refined == tuple(float(r) for r in roots)
+        for (a, b, mult), root in zip(iso.intervals, roots, strict=True):
+            assert mult == 1 and lo <= a < root == b and b - a <= Fraction(1e-12)
+
+    def test_pinned_isolations_of_the_v_polynomials(self):
+        isolations = [
+            isolate_real_roots(v_polynomial(n, m), None, 1e-12)
+            for n in range(4, 17)
+            for m in range(2, n)
+        ]
+        digest = hashlib.sha256(repr(isolations).encode()).hexdigest()
+        assert digest == "7d31c6696b2989a3df00eed129d07365f5b91d5e1c61b75482f28722968d9bb0"
 
     def test_matches_numpy_companion_on_random_integer_polys(self):
         rng = np.random.default_rng(7)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -41,6 +42,11 @@ class TestMaximalRadius:
         res = maximal_radius(9, 1e-20)
         lo, hi = res.isolating_interval
         assert hi - lo <= Fraction(1, 10**19)
+
+    def test_pinned_intervals_up_to_64(self):
+        intervals = [maximal_radius(n).isolating_interval for n in range(4, 65)]
+        digest = hashlib.sha256(repr(intervals).encode()).hexdigest()
+        assert digest == "248febd00d0e8d6fd31ff7a7e26882de5415879ea3680c12f16a380568352ad9"
 
     def test_pinned_interval_for_256(self):
         assert maximal_radius(256).isolating_interval == (
