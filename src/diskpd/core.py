@@ -146,19 +146,20 @@ class DiskCollection:
             r is not None for r in exact_radii
         )
 
+        # the messages name the disk, not the value, which can have any number of digits
         float_centers = []
-        for c in centers:
+        for i, c in enumerate(centers):
             z = _center_to_complex(c)
             if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                raise ValueError(f"center {c!r} has non-finite components")
+                raise ValueError(f"center {i} is not finite as a double")
             float_centers.append(z)
         float_radii = []
-        for r in radii:
+        for i, r in enumerate(radii):
             x = _to_float(r)
             if not math.isfinite(x):
-                raise ValueError(f"radius {r!r} is not finite")
+                raise ValueError(f"radius {i} is not finite as a double")
             if x <= 0:
-                raise ValueError(f"radius {r!r} is not strictly positive")
+                raise ValueError(f"radius {i} is not positive as a double")
             float_radii.append(x)
 
         distinct = set(exact_centers if is_exact else float_centers)
@@ -550,6 +551,20 @@ def _cholesky_each(a: np.ndarray) -> list:
         return _cholesky_each(a[:half]) + _cholesky_each(a[half:])
 
 
+def _shift(d: list[float], eps: float, tol: float) -> float:
+    """The shift delta of the floating decision on an E with diagonal d and
+    error bound eps: the larger of tol * max |d_i| and the bound on every
+    rounding error, 0 for a zero diagonal (see _decide_stack)."""
+    n = len(d)
+    top = max(map(abs, d))
+    if not top:
+        return 0.0
+    g = _gamma(2 * n + 4)
+    floor = g / (1 - g) * sum(x for x in d if x > 0) + _U * top + eps
+    floor += n * (2 * n + 4) * _ETA * max(1.0, top)
+    return max(tol * top, _SLACK * floor / (1 - _U))
+
+
 def _decide_stack(e: np.ndarray, eps: np.ndarray, tol: float) -> list[PositivityReport]:
     """Certified decisions for a stack e of shape (b, n, n) of exactly
     Hermitian arrays E, each with a bound eps >= ||E - E*||_2 against the
@@ -589,9 +604,6 @@ def _decide_stack(e: np.ndarray, eps: np.ndarray, tol: float) -> list[Positivity
     Anything else, and any non-finite entry or bound, is indeterminate.
     """
     b, n, _ = e.shape
-    g = _gamma(2 * n + 4)
-    g /= 1 - g
-    underflow = n * (2 * n + 4) * _ETA
     finite = np.isfinite(e).all(axis=2)
     reports: list = [None] * b
     ok, deltas = [], []
@@ -603,10 +615,8 @@ def _decide_stack(e: np.ndarray, eps: np.ndarray, tol: float) -> list[Positivity
                 Verdict.INDETERMINATE, tol, pivots=(), failing_index=int(finite[t].argmin())
             )
             continue
-        top = max(map(abs, d))
-        floor = g * sum(x for x in d if x > 0) + _U * top + eps_t + underflow * max(1.0, top)
         ok.append(t)
-        deltas.append(max(tol * top, _SLACK * floor / (1 - _U)) if top else 0.0)
+        deltas.append(_shift(d, eps_t, tol))
     if len(ok) < b:
         e, eps, diags = e[ok], eps[ok], [diags[t] for t in ok]
 
@@ -727,41 +737,139 @@ def max_uniform_scale(c: DiskCollection, tol: float = 1e-12) -> float:
     bracket comes from the two-disk criterion s^2 (R_i^2 + R_j^2) <
     |a_i - a_j|^2, which every pair subcollection must satisfy; growth by
     doubling guards against floating fuzz at that bound.  Returns the
-    lower end of the final bracket, the largest scale at which the
-    floating decision returned positive-definite (within tol * min(1, s)
+    lower end of the final bisection bracket, the largest scale at which
+    the floating decision returned positive-definite (within tol * min(1, s)
     of the boundary s, so relative below 1, or one unit in the last place
     where that is wider), and inf for a single disk (always positive).
+
+    The bisection's midpoints are mostly settled without a decision.
+    Brent's method on the margin lambda_min(E) - delta of the decision
+    narrows the bracket to about the final width, and decisions at its two
+    ends prove one positive and the other not.  The bisection then runs
+    from the same bracket, and only its midpoints between those two ends
+    are decided: a midpoint below them is positive and one above is not,
+    as the monotone predicate implies, so the result is the double that
+    deciding every midpoint gives.  Without a sign change of the margin, a
+    non-finite E or a failed proof at an end, every midpoint is decided.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if c.n == 1:
         return math.inf
+    centers, radii = np.array([c.centers]), np.array([c.radii])
+    latest = {}  # side -> (s, Q): the latest build at a scale on that side
 
-    def positive(s: float) -> bool:
-        report = is_positive_definite(build_q_matrix(c.scaled(s)))
-        return report.verdict is Verdict.POSITIVE_DEFINITE
+    def build(s: float) -> HermitianMatrix:
+        for t, m in latest.values():
+            if t == s:
+                return m
+        r = radii * s
+        if not ((r > 0) & (r < math.inf)).all():
+            DiskCollection(c.centers, r[0].tolist())  # raises for the radius out of range
+        e, log_scale, bound = _equilibrated(centers, r)
+        return HermitianMatrix._built(e[0], log_scale[0], bound[0])
+
+    def bracket_end(s: float) -> bool:
+        m = build(s)
+        side = is_positive_definite(m).is_positive
+        latest[side] = (s, m)
+        return side
+
+    def margin(s: float) -> float:
+        """lambda_min(E) - delta at scale s, which is positive about where
+        the decision is positive-definite; ArithmeticError for a non-finite
+        E or bound."""
+        m = build(s)
+        eps = float(_norm_bound(m._bound))
+        if not (np.isfinite(m._e).all() and math.isfinite(eps)):
+            raise ArithmeticError("non-finite build")
+        f = float(np.linalg.eigvalsh(m._e)[0]) - _shift(m._e.diagonal().real.tolist(), eps, _TOL)
+        latest[f > 0] = (s, m)
+        return f
+
+    def proved_ends() -> tuple[float, float]:
+        """Scales l < h, proved positive and not, around Brent's last
+        bracket, or (lo, hi).  An end whose proof fails is moved out by the
+        bracket's width once."""
+        try:
+            fl, fh = margin(lo), margin(hi)
+            if not fl > 0 >= fh:
+                return lo, hi
+            l, h = _brent(margin, lo, hi, fl, fh, tol * min(1.0, hi))
+        except ArithmeticError:
+            return lo, hi
+        w = h - l
+        for _ in range(2):
+            pl, ph = (is_positive_definite(build(x)).is_positive for x in (l, h))
+            if pl and not ph and l < h:
+                return l, h
+            l, h = (l if pl else l - w), (h + w if ph else h)
+        return lo, hi
 
     dist, r = _distances(c)
     hi = float((dist / np.hypot(r[:, None], r)).min())
     grow = 0
-    while positive(hi):
+    while bracket_end(hi):
         hi *= 2.0
         grow += 1
         if grow > 200:
             raise RuntimeError("failed to bracket the scale from above")
     lo = hi / 2.0
     shrink = 0
-    while not positive(lo):
+    while not bracket_end(lo):
         lo /= 2.0
         shrink += 1
         if shrink > 200:
             raise RuntimeError("failed to bracket the scale from below")
+    l, h = proved_ends()
     while hi - lo > tol * min(1.0, hi):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break  # lo and hi are adjacent doubles wider apart than tol
-        if positive(mid):
+        if mid <= l or (mid < h and is_positive_definite(build(mid)).is_positive):
             lo = mid
         else:
             hi = mid
     return lo
+
+
+def _brent(f, a: float, b: float, fa: float, fb: float, xtol: float) -> tuple[float, float]:
+    """A bracket (x, y) in [a, b] with f(x) > 0 >= f(y) and |x - y| at most
+    xtol + 2^-50 max(|x|, |y|), given f(a) = fa > 0 >= fb = f(b), by Brent's
+    method (Brent, Algorithms for Minimization without Derivatives, 1973,
+    ch. 4): inverse quadratic or secant steps, and bisection wherever they
+    would not shrink the bracket fast enough.  Each end of the last bracket
+    is the latest point evaluated on its side."""
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb > 0) == (fc > 0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 4 * _U * abs(b) + 0.5 * xtol
+        m = 0.5 * (c - b)
+        if abs(m) <= tol1 or fb == 0:
+            return (b, c) if fb > 0 else (c, b)
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2 * m * s, 1 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2 * m * q * (q - r) - (b - a) * (r - 1))
+                q = (q - 1) * (r - 1) * (s - 1)
+            if p > 0:
+                q = -q
+            p = abs(p)
+            if 2 * p < min(3 * m * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, m)
+        fb = f(b)

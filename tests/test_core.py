@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import itertools
 import math
 import random
@@ -6,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_q_entry, naive_q_matrix, roots_of_unity
@@ -100,6 +101,20 @@ class TestDiskCollection:
             DiskCollection([complex(math.nan, 0), 1], [1, 1])
         with pytest.raises(ValueError):
             DiskCollection([0, 1], [math.inf, 1])
+
+    @pytest.mark.parametrize(
+        "centers, radii, message",
+        [
+            ([(Fraction(10**400), 0)], [1], "center 0 is not finite as a double"),
+            ([0, 1], [1, Fraction(10**400)], "radius 1 is not finite as a double"),
+            ([0, 1], [1, Fraction(1, 10**400)], "radius 1 is not positive as a double"),
+        ],
+    )
+    def test_rejections_name_the_disk_without_its_digits(self, centers, radii, message):
+        with pytest.raises(ValueError) as info:
+            DiskCollection(centers, radii)
+        assert str(info.value) == message
+        assert len(str(info.value)) < 80
 
     def test_scaled_keeps_exactness_for_rational_factors(self):
         c = DiskCollection([0, 2], [1, 1])
@@ -659,6 +674,38 @@ class TestOverlapMeasure:
             overlap_measure(DiskCollection([0], [1]))
 
 
+def seeded_collection(seed):
+    """2 to 10 floating disks with centers at least 0.3 apart in a box of side 6."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 10)
+    centers = []
+    while len(centers) < n:
+        z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        if all(abs(z - w) > 0.3 for w in centers):
+            centers.append(z)
+    return DiskCollection(centers, [rng.uniform(0.05, 1.0) for _ in centers])
+
+
+def reference_scale(c, tol=1e-12):
+    """max_uniform_scale by plain bisection, with a decision at every midpoint."""
+    def positive(s):
+        return is_positive_definite(build_q_matrix(c.scaled(s))).is_positive
+
+    z, r = np.array(c.centers), np.array(c.radii)
+    d = np.hypot((z[:, None] - z).real, (z[:, None] - z).imag)
+    np.fill_diagonal(d, np.inf)
+    hi = float((d / np.hypot(r[:, None], r)).min())
+    while positive(hi):
+        hi *= 2.0
+    lo = hi / 2.0
+    while not positive(lo):
+        lo /= 2.0
+    while hi - lo > tol * min(1.0, hi) and lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if positive(mid) else (lo, mid)
+    return lo
+
+
 class TestMaxUniformScale:
     def test_two_disks(self):
         s = max_uniform_scale(DiskCollection([-1, 1], [1, 1]))
@@ -693,6 +740,56 @@ class TestMaxUniformScale:
     def test_scale_far_below_one_is_bracketed_relatively(self):
         s = max_uniform_scale(DiskCollection([0.0, 2.0], [1e11, 1e11]))
         assert s == pytest.approx(2 / math.sqrt(2e22), rel=1e-9, abs=0)
+
+    def test_radius_leaving_the_double_range_is_rejected(self):
+        # halving the scale underflows the smallest radius before any scale is positive
+        c = DiskCollection([0, 1e300, 2e300j], [1e290, 1e299, 1e-300])
+        with pytest.raises(ValueError, match="radius 2 is not positive as a double"):
+            max_uniform_scale(c)
+
+    def test_digits_are_pinned(self):
+        # sha256 of the reprs from the bisection that decided every midpoint
+        collections = [regular_collection(n, 1.0) for n in range(2, 65)]
+        collections += [seeded_collection(seed) for seed in range(40)]
+        text = repr([max_uniform_scale(c) for c in collections])
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "b8cbe856670008db7d5485626079d89bc9206c6c116085bc55a83e1d7a498cb4"
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        disks=st.lists(
+            st.tuples(*(st.floats(a, b).map(lambda x: round(x, 6)) for a, b in ((-4, 4), (-4, 4), (0.01, 3)))),
+            min_size=2,
+            max_size=6,
+        )
+    )
+    def test_equals_a_bisection_deciding_every_midpoint(self, disks):
+        centers = [complex(x, y) for x, y, _ in disks]
+        assume(min(abs(z - w) for z, w in itertools.combinations(centers, 2)) > 0.05)
+        c = DiskCollection(centers, [r for _, _, r in disks])
+        assert max_uniform_scale(c) == reference_scale(c)
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_at_most_twenty_builds(self, n, monkeypatch):
+        calls = []
+        build = core._equilibrated
+
+        def counted(a, r):
+            calls.append(len(a))
+            return build(a, r)
+
+        monkeypatch.setattr(core, "_equilibrated", counted)
+        max_uniform_scale(regular_collection(n, 1.0))
+        assert sum(calls) <= 20
+
+    @pytest.mark.parametrize("s", [0.3, 1 / 3, 0.7071067811865476, 1.9, 1e-7, 3e5])
+    def test_scaled_build_has_the_bits_of_a_scaled_collection(self, s):
+        for c in (regular_collection(7, 1.0), seeded_collection(3), seeded_collection(11)):
+            got = core._equilibrated(np.array([c.centers]), np.array([c.radii]) * s)
+            want = build_q_matrix(c.scaled(s))
+            assert got[0][0].tobytes() == want._e.tobytes()
+            assert got[1][0].tobytes() == want._log_scale.tobytes()
+            assert got[2][0].tobytes() == want._bound.tobytes()
 
 
 class TestHermitianMatrix:
