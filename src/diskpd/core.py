@@ -737,9 +737,9 @@ def max_uniform_scale(c: DiskCollection, tol: float = 1e-12) -> float:
     bracket comes from the two-disk criterion s^2 (R_i^2 + R_j^2) <
     |a_i - a_j|^2, which every pair subcollection must satisfy; growth by
     doubling guards against floating fuzz at that bound.  Returns the
-    lower end of the final bisection bracket, the largest scale at which
-    the floating decision returned positive-definite (within tol * min(1, s)
-    of the boundary s, so relative below 1, or one unit in the last place
+    lower end of the final bisection bracket, the largest scale that the
+    bisection counts as positive-definite (within tol * min(1, s) of
+    the boundary s, so relative below 1, or one unit in the last place
     where that is wider), and inf for a single disk (always positive).
 
     The bisection's midpoints are mostly settled without a decision.
