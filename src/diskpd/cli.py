@@ -27,7 +27,8 @@ from . import radius, verify
 from .core import (
     DiskCollection,
     Verdict,
-    _to_float,
+    _read_center,
+    _read_scalar,
     build_q_matrix,
     is_admissible,
     is_positive_definite,
@@ -102,8 +103,10 @@ def parse_collection_document(text: str) -> tuple[DiskCollection, dict]:
     except ValueError as exc:
         # only a failed document pays for finding the field, and no digits are echoed
         for idx, (center, rad) in enumerate(zip(centers, radii)):
-            for field, values in (("center", center), ("radius", (rad,))):
-                if not all(math.isfinite(_to_float(v)) for v in values):
+            for field, read, value in (("center", _read_center, center), ("radius", _read_scalar, rad)):
+                try:
+                    read(value, field, idx)
+                except ValueError:
                     raise SchemaError(f"disks[{idx}].{field}: not finite as a double") from exc
         raise SchemaError(f"disks: {exc}") from exc
     return collection, metadata

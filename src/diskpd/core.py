@@ -37,7 +37,6 @@ __all__ = [
     "max_uniform_scale",
 ]
 
-_HERMITIAN_RTOL = 1e-12
 _U = 2.0**-53  # unit roundoff of a double
 _ETA = 2.0**-1074  # smallest subnormal: twice the underflow error of one operation
 #: Factor on every error bound evaluated in floating point, which covers
@@ -60,50 +59,44 @@ class GaussianRational:
         return complex(float(self.re), float(self.im))
 
 
-def _exact_scalar(value) -> Fraction | None:
-    """Fraction view of a value when it is exactly rational, else None.
+def _read_scalar(value, name: str | None = None, index: int | None = None) -> tuple[Fraction | None, float]:
+    """The exact and floating views of a real input value.
 
-    Floats are deliberately treated as inexact: exact mode is reserved
-    for inputs given as int/Fraction/decimal string.
+    An int, a Fraction or a decimal or "p/q" string is exact: its Fraction,
+    and the correctly rounded double of that, +-inf beyond the double
+    range.  Anything else (float, bool, numpy scalar) is deliberately
+    inexact, (None, float(value)): exact mode is reserved for rational
+    input.  Given a name, a value that is not finite as a double raises
+    ValueError naming it and the index, not its digits, which can be many.
     """
-    if isinstance(value, bool):
-        return None
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    return None
+    if isinstance(value, (float, bool)) or not isinstance(value, (int, str, Fraction)):
+        exact, x = None, float(value)
+    else:
+        exact = Fraction(value)
+        try:
+            x = float(exact)
+        except OverflowError:
+            x = math.inf if exact > 0 else -math.inf
+    if name is not None and not math.isfinite(x):
+        raise ValueError(f"{name} {index} is not finite as a double")
+    return exact, x
 
 
-def _exact_center(value) -> GaussianRational | None:
+def _read_center(value, name: str | None = None, index: int | None = None) -> tuple[GaussianRational | None, complex]:
+    """The exact and floating views of a center: its real and imaginary
+    parts, read by _read_scalar, from an (re, im) pair, a GaussianRational,
+    a complex number or a real value.  The exact view is None unless both
+    parts are exact."""
     if isinstance(value, tuple) and len(value) == 2:
-        re = _exact_scalar(value[0])
-        im = _exact_scalar(value[1])
-        if re is not None and im is not None:
-            return GaussianRational(re, im)
-        return None
-    if isinstance(value, GaussianRational):
-        return value
-    scalar = None if isinstance(value, (complex, float)) else _exact_scalar(value)
-    if scalar is not None:
-        return GaussianRational(scalar)
-    return None
-
-
-def _center_to_complex(value) -> complex:
-    if isinstance(value, tuple) and len(value) == 2:
-        return complex(_to_float(value[0]), _to_float(value[1]))
-    return complex(value)
-
-
-def _to_float(value) -> float:
-    """float(value), with +-inf for a rational beyond the double range."""
-    if isinstance(value, str):
-        value = Fraction(value)
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
+        re, im = value
+    elif isinstance(value, GaussianRational):
+        re, im = value.re, value.im
+    elif isinstance(value, (complex, np.complexfloating)):
+        re, im = value.real, value.imag
+    else:
+        re, im = value, 0
+    (a, x), (b, y) = _read_scalar(re, name, index), _read_scalar(im, name, index)
+    return (None if a is None or b is None else GaussianRational(a, b)), complex(x, y)
 
 
 def _cleared(values: list[Fraction]) -> tuple[list[int], int]:
@@ -123,11 +116,14 @@ def _cleared_collection(c: DiskCollection) -> tuple[list[int], list[int], list[i
 class DiskCollection:
     """An ordered collection of open disks B(a_j, R_j), n >= 1.
 
-    Centers may be given as complex numbers, (re, im) pairs, or exact
-    rationals (int/Fraction/"p/q" strings); radii likewise.  When every
-    input is rational the collection also carries an exact Gaussian
-    rational view that enables exact-arithmetic positivity decisions.
-    Radii must be strictly positive and centers pairwise distinct.
+    Centers may be given as complex numbers, (re, im) pairs, real values
+    or GaussianRationals; radii as real values.  Every value is read once:
+    ints, Fractions and decimal or "p/q" strings are exact; floats, bools
+    and numpy scalars are not.  When every
+    input is exact the collection also carries an exact Gaussian rational
+    view that enables exact-arithmetic positivity decisions.  The floating
+    view holds the correctly rounded doubles, which must be finite, with
+    radii strictly positive; centers must be pairwise distinct.
     """
 
     __slots__ = ("centers", "radii", "exact_centers", "exact_radii")
@@ -140,34 +136,19 @@ class DiskCollection:
         if len(centers) != len(radii):
             raise ValueError("centers and radii must have the same length")
 
-        exact_centers = tuple(_exact_center(c) for c in centers)
-        exact_radii = tuple(_exact_scalar(r) for r in radii)
-        is_exact = all(c is not None for c in exact_centers) and all(
-            r is not None for r in exact_radii
-        )
-
-        # the messages name the disk, not the value, which can have any number of digits
-        float_centers = []
-        for i, c in enumerate(centers):
-            z = _center_to_complex(c)
-            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                raise ValueError(f"center {i} is not finite as a double")
-            float_centers.append(z)
-        float_radii = []
-        for i, r in enumerate(radii):
-            x = _to_float(r)
-            if not math.isfinite(x):
-                raise ValueError(f"radius {i} is not finite as a double")
+        exact_centers, float_centers = zip(*(_read_center(c, "center", i) for i, c in enumerate(centers)))
+        exact_radii, float_radii = zip(*(_read_scalar(r, "radius", i) for i, r in enumerate(radii)))
+        is_exact = all(x is not None for x in (*exact_centers, *exact_radii))
+        for i, x in enumerate(float_radii):
             if x <= 0:
                 raise ValueError(f"radius {i} is not positive as a double")
-            float_radii.append(x)
 
         distinct = set(exact_centers if is_exact else float_centers)
         if len(distinct) != len(centers):
             raise ValueError("centers must be pairwise distinct")
 
-        self.centers = tuple(float_centers)
-        self.radii = tuple(float_radii)
+        self.centers = float_centers
+        self.radii = float_radii
         self.exact_centers = exact_centers if is_exact else None
         self.exact_radii = exact_radii if is_exact else None
 
@@ -181,10 +162,10 @@ class DiskCollection:
 
     def scaled(self, factor) -> "DiskCollection":
         """Same centers with every radius multiplied by factor > 0."""
-        if self.is_exact and _exact_scalar(factor) is not None:
-            f = _exact_scalar(factor)
-            return DiskCollection(self.exact_centers, tuple(r * f for r in self.exact_radii))
-        return DiskCollection(self.centers, tuple(r * float(factor) for r in self.radii))
+        exact, f = _read_scalar(factor)
+        if self.is_exact and exact is not None:
+            return DiskCollection(self.exact_centers, tuple(r * exact for r in self.exact_radii))
+        return DiskCollection(self.centers, tuple(r * f for r in self.radii))
 
     def subcollection(self, indices) -> "DiskCollection":
         indices = tuple(indices)
@@ -208,8 +189,10 @@ class DiskCollection:
 class HermitianMatrix:
     """Dense Hermitian matrix, either floating complex or Gaussian rational.
 
-    Construction from rows validates Hermitian symmetry: exactly for
-    rational entries, to 1e-12 relative tolerance for floating ones.  A
+    Construction from rows checks that they are exactly Hermitian,
+    rows[i][j] == conj(rows[j][i]), in either arithmetic: LAPACK's Cholesky
+    reads one triangle, so a floating decision on rows that were Hermitian
+    only up to rounding would prove a matrix other than the one given.  A
     floating matrix is held as one numpy array E with a vector of log
     scales l, and presents the matrix Q_ij = E_ij exp(l_i + l_j); matrices
     built from rows have l = 0.  It also carries a vector v >= 0 that
@@ -227,21 +210,11 @@ class HermitianMatrix:
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise ValueError("matrix must be square and non-empty")
-        exact = isinstance(rows[0][0], GaussianRational)
         for i in range(n):
             for j in range(i, n):
-                a, b = rows[i][j], rows[j][i]
-                if exact:
-                    if a != b.conjugate():
-                        raise ValueError(f"matrix is not Hermitian at ({i},{j})")
-                else:
-                    diff = abs(a - b.conjugate())
-                    scale = max(abs(a), abs(b))
-                    if diff > _HERMITIAN_RTOL * scale:
-                        raise ValueError(
-                            f"matrix is not Hermitian at ({i},{j}): "
-                            f"|difference| {diff:.3e} exceeds {_HERMITIAN_RTOL:.0e} relative"
-                        )
+                if rows[i][j] != rows[j][i].conjugate():
+                    raise ValueError(f"matrix is not Hermitian at ({i},{j})")
+        exact = isinstance(rows[0][0], GaussianRational)
         self._rows, self.order, self.is_exact = rows, n, exact
         self._e = self._log_scale = self._bound = self._upper = self._den = None
         if exact:
@@ -756,17 +729,15 @@ def max_uniform_scale(c: DiskCollection, tol: float = 1e-12) -> float:
         raise ValueError("tolerance must be positive")
     if c.n == 1:
         return math.inf
-    centers, radii = np.array([c.centers]), np.array([c.radii])
+    centers = np.array([c.centers])
     latest = {}  # side -> (s, Q): the latest build at a scale on that side
 
     def build(s: float) -> HermitianMatrix:
         for t, m in latest.values():
             if t == s:
                 return m
-        r = radii * s
-        if not ((r > 0) & (r < math.inf)).all():
-            DiskCollection(c.centers, r[0].tolist())  # raises for the radius out of range
-        e, log_scale, bound = _equilibrated(centers, r)
+        # the scaled collection raises for a radius out of the double range
+        e, log_scale, bound = _equilibrated(centers, np.array([c.scaled(s).radii]))
         return HermitianMatrix._built(e[0], log_scale[0], bound[0])
 
     def bracket_end(s: float) -> bool:

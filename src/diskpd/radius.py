@@ -80,7 +80,8 @@ def _bounds_for(n: int) -> tuple[float, float]:
 def maximal_radius(n: int, precision: float = 1e-13) -> RadiusResult:
     """Compute rho_n, exactly isolated and refined to `precision`.
 
-    n = 2 and n = 3 are the closed cases sqrt(2) and 1.  For n >= 4 the
+    n = 2 and n = 3 are the closed cases sqrt(2) and 1, mu = 1 and 0 with
+    the interval (mu, mu).  For n >= 4 the
     central polynomial is built exactly, and its smallest root in (-1, 0]
     (the known root -1 lies outside) is isolated by bisection on Sturm
     counts and refined to the requested interval width; the other roots
@@ -91,25 +92,12 @@ def maximal_radius(n: int, precision: float = 1e-13) -> RadiusResult:
         raise ValueError("need n >= 2")
     if precision <= 0:
         raise ValueError("precision must be positive")
-    lower, upper = _bounds_for(n)
-    beta_den = math.sin(math.pi / n)
     if n == 2:
-        mu = Fraction(1)
+        interval = (Fraction(1), Fraction(1))
     elif n == 3:
-        mu = Fraction(0)
-    if n in (2, 3):
-        rho = math.sqrt(float(1 + mu))
-        return RadiusResult(
-            n=n,
-            rho=rho,
-            mu=float(mu),
-            isolating_interval=(mu, mu),
-            lower_bound=lower,
-            upper_bound=upper,
-            beta=rho / beta_den,
-        )
-
-    interval = _smallest_root(central_polynomial(n), Fraction(-1), Fraction(0), Fraction(precision))
+        interval = (Fraction(0), Fraction(0))
+    else:
+        interval = _smallest_root(central_polynomial(n), Fraction(-1), Fraction(0), Fraction(precision))
     if interval is None:
         raise ArithmeticError(
             f"internal inconsistency: central polynomial for n={n} has no root in (-1, 0]"
@@ -117,6 +105,7 @@ def maximal_radius(n: int, precision: float = 1e-13) -> RadiusResult:
     a, b = interval
     mu_exact = (a + b) / 2
     rho = math.sqrt(float(1 + mu_exact))
+    lower, upper = _bounds_for(n)
     return RadiusResult(
         n=n,
         rho=rho,
@@ -124,7 +113,7 @@ def maximal_radius(n: int, precision: float = 1e-13) -> RadiusResult:
         isolating_interval=(a, b),
         lower_bound=lower,
         upper_bound=upper,
-        beta=rho / beta_den,
+        beta=rho / math.sin(math.pi / n),
     )
 
 

@@ -190,24 +190,35 @@ def core_suite(seed: int = 0, samples: int = 200, nmax: int = 8) -> list[CheckRe
             break
     out.append(CheckResult("core.rigid-motion-invariance", bad is None, bad or ""))
 
-    # scaling centers and radii by t multiplies Q by t^(2n), verdict fixed
+    # scaling centers and radii by t multiplies Q by t^(2n), verdict fixed;
+    # by t = 2^k, which is exact for every input that stays normal, E and
+    # its error bound v do not change by a bit
     bad = None
     for idx in range(60):
         base = random_collection(rng, nmax)
         dmin = base.min_pairwise_distance()
         c = _with_radii(base, [dmin * rng.uniform(0.2, 0.8) for _ in range(base.n)])
         t = rng.uniform(0.3, 3.0)
-        scaled = DiskCollection([t * z for z in c.centers], [t * r for r in c.radii])
-        q1 = core.build_q_matrix(c).to_numpy()
-        q2 = core.build_q_matrix(scaled).to_numpy()
+        q1 = core.build_q_matrix(c)
+        q2 = core.build_q_matrix(DiskCollection([t * z for z in c.centers], [t * r for r in c.radii]))
         factor = t ** (2 * c.n)
-        if not np.allclose(q2, factor * q1, rtol=1e-9, atol=1e-9 * factor * np.abs(q1).max()):
+        a1, a2 = q1.to_numpy(), q2.to_numpy()
+        if not np.allclose(a2, factor * a1, rtol=1e-9, atol=1e-9 * factor * np.abs(a1).max()):
             bad = f"sample {idx}: entries do not scale by t^(2n)"
             break
-        v1 = core.is_positive_definite(core.build_q_matrix(c)).verdict
-        v2 = core.is_positive_definite(core.build_q_matrix(scaled)).verdict
-        if v1 is not v2:
+        v1 = core.is_positive_definite(q1).verdict
+        if v1 is not core.is_positive_definite(q2).verdict:
             bad = f"sample {idx}: verdict changed under similarity scaling"
+            break
+        k = rng.randint(-1000, 1000)
+        p = 2.0**k
+        centers, radii = [p * z for z in c.centers], [p * r for r in c.radii]
+        if [z / p for z in centers] != list(c.centers) or [r / p for r in radii] != list(c.radii):
+            continue  # a subnormal input rounded: a different collection
+        q3 = core.build_q_matrix(DiskCollection(centers, radii))
+        same = q3._e.tobytes() == q1._e.tobytes() and q3._bound.tobytes() == q1._bound.tobytes()
+        if not same or core.is_positive_definite(q3).verdict is not v1:
+            bad = f"sample {idx}: E, v or the verdict changed under scaling by 2^{k}"
             break
     out.append(CheckResult("core.scaling-covariance", bad is None, bad or ""))
     return out

@@ -247,6 +247,13 @@ class TestVerifyCommand:
         assert "PASS triangle.criterion-equivalence" in out
         assert out.strip().endswith("verify: ok")
 
+    def test_golden_verify_all(self, capsys):
+        # a passing check prints only its name, so strengthening one keeps this
+        code, out, _ = run(["verify", "--suite", "all", "--seed", "0"], capsys)
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "350066330514644e4919ad9c474e7ed71779a7c5e1e9cee7d01a4088500dcc08"
+
     def test_unknown_suite_exits_two(self, capsys):
         code, out, err = run(["verify", "--suite", "bogus"], capsys)
         assert code == 2

@@ -1,4 +1,5 @@
 import cmath
+import decimal
 import hashlib
 import itertools
 import math
@@ -85,6 +86,9 @@ class TestDiskCollection:
         assert c.is_exact
         assert c.exact_centers[0] == GaussianRational(Fraction(1, 2), Fraction(-3, 4))
         assert c.radii[0] == pytest.approx(2 / 3)
+        c = DiskCollection(["1/2", "3"], ["1", "1"])  # a "p/q" center need not be a pair
+        assert c.exact_centers == (GaussianRational(Fraction(1, 2)), GaussianRational(Fraction(3)))
+        assert c.centers == (0.5 + 0j, 3 + 0j)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -108,6 +112,8 @@ class TestDiskCollection:
             ([(Fraction(10**400), 0)], [1], "center 0 is not finite as a double"),
             ([0, 1], [1, Fraction(10**400)], "radius 1 is not finite as a double"),
             ([0, 1], [1, Fraction(1, 10**400)], "radius 1 is not positive as a double"),
+            ([10**400, 0], [1, 1], "center 0 is not finite as a double"),
+            ([0, GaussianRational(Fraction(10**400))], [1, 1], "center 1 is not finite as a double"),
         ],
     )
     def test_rejections_name_the_disk_without_its_digits(self, centers, radii, message):
@@ -127,6 +133,57 @@ class TestDiskCollection:
         sub = c.subcollection([0, 2])
         assert sub.centers == (0 + 0j, 4 + 0j)
         assert sub.radii == (1.0, 3.0)
+
+
+F, G = Fraction, GaussianRational
+
+#: (label, centers, radii, views): the pinned views (centers, radii,
+#: exact_centers, exact_radii, is_exact) of each kind of accepted input,
+#: compared by repr, which shows types and signed zeros
+READER_TABLE = [
+    ("complex", [1 + 2j, -0.5j, 0j], [0.25, 1.0, 2.5],
+     ((1 + 2j, -0.5j, 0j), (0.25, 1.0, 2.5), None, None, False)),
+    ("numpy complex", [np.complex128(1 - 2j), np.complex128(3)], [1.0, 2.0],
+     ((1 - 2j, 3 + 0j), (1.0, 2.0), None, None, False)),
+    ("float", [0.0, 2.5, -1e-300], [0.5, 1.5, 1e300],
+     ((0j, 2.5 + 0j, complex(-1e-300, 0)), (0.5, 1.5, 1e300), None, None, False)),
+    ("int", [0, 3, -7], [1, 2, 10**20],
+     ((0j, 3 + 0j, -7 + 0j), (1.0, 2.0, 1e20), (G(F(0), F(0)), G(F(3), F(0)), G(F(-7), F(0))),
+      (F(1), F(2), F(10**20)), True)),
+    ("Fraction", [F(1, 2), F(-7, 3)], [F(1, 3), F(5, 4)],
+     ((0.5 + 0j, -2.3333333333333335 + 0j), (0.3333333333333333, 1.25),
+      (G(F(1, 2), F(0)), G(F(-7, 3), F(0))), (F(1, 3), F(5, 4)), True)),
+    ("decimal strings", ["0.5", "-1.25", "1e-3"], ["0.1", "2.5", "7"],
+     ((0.5 + 0j, -1.25 + 0j, 0.001 + 0j), (0.1, 2.5, 7.0),
+      (G(F(1, 2), F(0)), G(F(-5, 4), F(0)), G(F(1, 1000), F(0))), (F(1, 10), F(5, 2), F(7)), True)),
+    ("p/q strings in pairs", [("1/3", "-2/7"), ("5/2", "0")], ["1/3", "3/4"],
+     ((0.3333333333333333 - 0.2857142857142857j, 2.5 + 0j), (0.3333333333333333, 0.75),
+      (G(F(1, 3), F(-2, 7)), G(F(5, 2), F(0))), (F(1, 3), F(3, 4)), True)),
+    ("exact pairs", [(1, F(1, 2)), ("0.25", 3), (F(-1, 3), "-2/3")], [F(1, 8), "1/16", 2],
+     ((1 + 0.5j, 0.25 + 3j, -0.3333333333333333 - 0.6666666666666666j), (0.125, 0.0625, 2.0),
+      (G(F(1), F(1, 2)), G(F(1, 4), F(3)), G(F(-1, 3), F(-2, 3))), (F(1, 8), F(1, 16), F(2)), True)),
+    ("mixed pairs", [(1, 0.5), (F(1, 2), "3/4")], [1, 0.5],
+     ((1 + 0.5j, 0.5 + 0.75j), (1.0, 0.5), None, None, False)),
+    ("exact centers, float radius", [0, 2], [1.5, 1],
+     ((0j, 2 + 0j), (1.5, 1.0), None, None, False)),
+    ("GaussianRational", [G(F(1, 2), F(-1, 3)), G(F(2))], [1, F(1, 2)],
+     ((0.5 - 0.3333333333333333j, 2 + 0j), (1.0, 0.5), (G(F(1, 2), F(-1, 3)), G(F(2), F(0))),
+      (F(1), F(1, 2)), True)),
+    ("np.float64", [np.float64(0.5), np.float64(-1.5)], [np.float64(0.25), np.float64(1)],
+     ((0.5 + 0j, -1.5 + 0j), (0.25, 1.0), None, None, False)),
+    ("np.int64", [np.int64(0), np.int64(3)], [np.int64(1), np.int64(2)],
+     ((0j, 3 + 0j), (1.0, 2.0), None, None, False)),
+    ("bool", [False, True], [True, True], ((0j, 1 + 0j), (1.0, 1.0), None, None, False)),
+    ("bool pairs", [(True, 0), (0, 1)], [1, 1], ((1 + 0j, 1j), (1.0, 1.0), None, None, False)),
+    ("Decimal", [decimal.Decimal("0.1"), decimal.Decimal(2)], [decimal.Decimal("0.5"), decimal.Decimal(1)],
+     ((0.1 + 0j, 2 + 0j), (0.5, 1.0), None, None, False)),
+]
+
+
+@pytest.mark.parametrize("label, centers, radii, views", READER_TABLE, ids=[row[0] for row in READER_TABLE])
+def test_readers_keep_every_accepted_input(label, centers, radii, views):
+    c = DiskCollection(centers, radii)
+    assert repr((c.centers, c.radii, c.exact_centers, c.exact_radii, c.is_exact)) == repr(views)
 
 
 class TestBuildQMatrix:
@@ -431,6 +488,24 @@ class TestPositivity:
         with pytest.raises(ValueError, match="Hermitian"):
             HermitianMatrix([[1.0, 2.0], [3.0, 1.0]])
 
+    @pytest.mark.parametrize("mu", [3.5e-10, 4e-10])
+    def test_rows_hermitian_only_up_to_rounding_are_rejected(self, mu):
+        # J + mu I with the upper triangle scaled by 1 - 0.999e-12 w_i w_j,
+        # w_i = (-1)^i: the Hermitian part has w^T A w / |w|^2 < 0, yet the
+        # lower triangle alone, which is all LAPACK reads, is positive definite
+        n = 1000
+        w = (-1.0) ** np.arange(n)
+        a = np.ones((n, n)) + mu * np.eye(n)
+        upper = np.triu_indices(n, 1)
+        a[upper] *= 1 - 0.999e-12 * np.outer(w, w)[upper]
+        assert w @ a @ w / n < -0.9e-10
+        with pytest.raises(ValueError, match=r"not Hermitian at \(0,1\)"):
+            HermitianMatrix(a.tolist())
+
+    def test_off_diagonal_pair_one_ulp_apart_is_rejected(self):
+        with pytest.raises(ValueError, match=r"not Hermitian at \(0,1\)"):
+            HermitianMatrix([[2.0, 1.0], [math.nextafter(1.0, 2.0), 2.0]])
+
     def test_tolerance_validation(self):
         m = HermitianMatrix([[1.0]])
         with pytest.raises(ValueError):
@@ -532,6 +607,35 @@ class TestPositivity:
             assert got.verdict is Verdict.POSITIVE_DEFINITE
             if t > 1e-308:  # subnormal coordinates carry fewer digits
                 assert got.pivots == pytest.approx(want.pivots, rel=1e-12)
+
+
+    @pytest.mark.parametrize("n", [3, 8, 16, 32, 64])
+    def test_scaling_by_powers_of_two_changes_no_bit(self, n):
+        # exact for every input that stays normal: E, v and the verdict
+        # stay the same bits, from 2^-1000 to 2^1000
+        for level in (0.99, 1.01):
+            base = regular_collection(n, level * maximal_radius(n).rho)
+            want = build_q_matrix(base)
+            verdict = is_positive_definite(want).verdict
+            for k in range(-1000, 1001, 50):
+                t = math.ldexp(1.0, k)
+                got = build_q_matrix(DiskCollection([t * z for z in base.centers], [t * r for r in base.radii]))
+                assert got._e.tobytes() == want._e.tobytes()
+                assert got._bound.tobytes() == want._bound.tobytes()
+                assert is_positive_definite(got).verdict is verdict
+
+    @pytest.mark.parametrize("n", [3, 8, 16, 32, 64])
+    def test_no_scale_swaps_the_verdict(self, n):
+        # other scales round the inputs: the verdict may move to or from
+        # indeterminate, but positive and not positive never swap
+        for level in (0.99, 1.01):
+            base = regular_collection(n, level * maximal_radius(n).rho)
+            want = is_positive_definite(build_q_matrix(base)).verdict
+            assert want is (Verdict.POSITIVE_DEFINITE if level < 1 else Verdict.NOT_POSITIVE_DEFINITE)
+            for m in range(-300, 301, 20):
+                t = 3.0 * 10.0**m
+                c = DiskCollection([t * z for z in base.centers], [t * r for r in base.radii])
+                assert is_positive_definite(build_q_matrix(c)).verdict in (want, Verdict.INDETERMINATE)
 
 
 class TestExactDecision:
