@@ -80,12 +80,11 @@ def _bounds_for(n: int) -> tuple[float, float]:
 def maximal_radius(n: int, precision: float = 1e-13) -> RadiusResult:
     """Compute rho_n, exactly isolated and refined to `precision`.
 
-    n = 2 and n = 3 are the closed cases sqrt(2) and 1, mu = 1 and 0 with
-    the interval (mu, mu).  For n >= 4 the
-    central polynomial is built exactly, and its smallest root in (-1, 0]
-    (the known root -1 lies outside) is isolated by bisection on Sturm
-    counts and refined to the requested interval width; the other roots
-    are left alone.  Raises if no such root exists (the structure of the
+    n = 2 and n = 3 are the closed cases sqrt(2) and 1, with the interval
+    (mu, mu) for mu = 1 and 0.  For n >= 4 the central polynomial is built
+    exactly, and its smallest root in (-1, 0] (the known root -1 lies
+    outside) is isolated by bisection on Sturm counts and refined to the
+    requested interval width; the other roots are left alone.  Raises if no such root exists (the structure of the
     central polynomial guarantees one).
     """
     if n < 2:
