@@ -105,12 +105,33 @@ def _cleared(values: list[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
-def _cleared_collection(c: DiskCollection) -> tuple[list[int], list[int], list[int], int]:
-    """(x, y, r, L) with L a_k = x_k + i y_k and L R_k = r_k all integers,
-    L the lcm of every center and radius denominator of an exact collection."""
+def _cleared_collection(c: DiskCollection) -> tuple[list[int], list[int], list[int], Fraction]:
+    """(x, y, r, s) with x_k + i y_k = s (a_k - a_0) and r_k = s R_k
+    integers of gcd 1, s > 0 rational, for an exact collection: the
+    differences of the centers and the radii on their primitive lattice.
+    s is L / g, L the lcm of every denominator and g the gcd of the
+    cleared differences and radii.  A rational vector has one primitive
+    integer multiple by a positive number, so clearing the differences'
+    own denominators would give the same s."""
     n = c.n
     ints, lcm = _cleared([*(v for z in c.exact_centers for v in (z.re, z.im)), *c.exact_radii])
-    return ints[0 : 2 * n : 2], ints[1 : 2 * n : 2], ints[2 * n :], lcm
+    x = [v - ints[0] for v in ints[0 : 2 * n : 2]]
+    y = [v - ints[1] for v in ints[1 : 2 * n : 2]]
+    r = ints[2 * n :]
+    g = math.gcd(*x, *y, *r)  # > 0, as every radius is
+    if g > 1:
+        x, y, r = ([v // g for v in vs] for vs in (x, y, r))
+    return x, y, r, Fraction(lcm, g)
+
+
+def _primitive(upper: list[list[tuple[int, int]]], den: int | Fraction) -> tuple[list, Fraction]:
+    """The exact form (U / c, den / c) of Q = U / den, U the upper triangle
+    of a Gaussian-integer matrix and c the gcd of every real and imaginary
+    part of U, which leaves an all-zero U as it is."""
+    c = math.gcd(*(v for row in upper for pair in row for v in pair))
+    if c <= 1:
+        return upper, Fraction(den)
+    return [[(x // c, y // c) for x, y in row] for row in upper], Fraction(den, c)
 
 
 class DiskCollection:
@@ -186,6 +207,17 @@ class DiskCollection:
         return f"DiskCollection(n={self.n}, exact={self.is_exact})"
 
 
+def _exact_entry(x, i: int, j: int) -> GaussianRational:
+    """Entry (i, j) of an exact matrix: a GaussianRational, or an int or
+    Fraction read as an exact real; ValueError naming anything else,
+    such as a float, a complex or a GaussianRational with a float part."""
+    gaussian = isinstance(x, GaussianRational)
+    for v in (x.re, x.im) if gaussian else (x,):
+        if not isinstance(v, (int, Fraction)) or isinstance(v, bool):
+            raise ValueError(f"matrix entry ({i},{j}) is not exact: {type(v).__name__} in an exact matrix")
+    return x if gaussian else GaussianRational(Fraction(x))
+
+
 class HermitianMatrix:
     """Dense Hermitian matrix, either floating complex or Gaussian rational.
 
@@ -199,8 +231,12 @@ class HermitianMatrix:
     bounds the error of E entrywise, |E_ij - E*_ij| <= v_i v_j, against a
     matrix E* congruent to Q by a positive diagonal: v = 0 for rows, which
     are the matrix itself.  Q entries beyond the double range read as inf,
-    with numpy's overflow warning.  An exact matrix is held as an integer
-    den > 0 and the upper triangle of den * Q as (re, im) int pairs.
+    with numpy's overflow warning.  An exact matrix is one whose first
+    entry is a GaussianRational; its int and Fraction entries are read as
+    exact reals, and a float or complex entry raises.  It is held in one
+    primitive form, Q = U / den: the upper triangle of a Gaussian-integer
+    matrix U whose real and imaginary parts have gcd 1 (unless all are 0),
+    as (re, im) int pairs, and a rational den > 0.
     """
 
     __slots__ = ("_rows", "_e", "_log_scale", "_bound", "_upper", "_den", "order", "is_exact")
@@ -210,18 +246,25 @@ class HermitianMatrix:
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise ValueError("matrix must be square and non-empty")
+        exact = isinstance(rows[0][0], GaussianRational)
+        if exact:
+            rows = tuple(
+                tuple(_exact_entry(x, i, j) for j, x in enumerate(row)) for i, row in enumerate(rows)
+            )
         for i in range(n):
             for j in range(i, n):
                 if rows[i][j] != rows[j][i].conjugate():
+                    for p, q in ((i, j), (j, i)):
+                        if rows[p][q] != rows[p][q]:
+                            raise ValueError(f"matrix entry ({p},{q}) is NaN")
                     raise ValueError(f"matrix is not Hermitian at ({i},{j})")
-        exact = isinstance(rows[0][0], GaussianRational)
         self._rows, self.order, self.is_exact = rows, n, exact
         self._e = self._log_scale = self._bound = self._upper = self._den = None
         if exact:
             upper = [row[i:] for i, row in enumerate(rows)]
-            ints, self._den = _cleared([x for row in upper for g in row for x in (g.re, g.im)])
+            ints, den = _cleared([x for row in upper for g in row for x in (g.re, g.im)])
             pairs = iter(zip(ints[::2], ints[1::2]))
-            self._upper = [[next(pairs) for _ in row] for row in upper]
+            self._upper, self._den = _primitive([[next(pairs) for _ in row] for row in upper], den)
         else:
             self._e, self._log_scale, self._bound = np.array(rows, dtype=complex), np.zeros(n), np.zeros(n)
 
@@ -230,7 +273,7 @@ class HermitianMatrix:
         """Matrix with no symmetry scan: floating Q = diag(exp(l)) E diag(exp(l))
         from an exactly Hermitian E with error bound v, or exact Q = U / den
         from the upper triangle U of a Gaussian-integer matrix with a real
-        diagonal."""
+        diagonal and a rational den > 0."""
         m = cls.__new__(cls)
         m._rows, m._e, m._log_scale, m._bound = None, e, log_scale, bound
         m._upper, m._den = upper, den
@@ -243,8 +286,8 @@ class HermitianMatrix:
         """Entries of Q as nested tuples, made on first use for a built matrix."""
         if self._rows is None:
             if self.is_exact:
-                n, d = self.order, self._den
-                u = [[GaussianRational(Fraction(x, d), Fraction(y, d)) for x, y in row]
+                n, top, bottom = self.order, self._den.numerator, self._den.denominator
+                u = [[GaussianRational(Fraction(x * bottom, top), Fraction(y * bottom, top)) for x, y in row]
                      for row in self._upper]
                 self._rows = tuple(
                     tuple(u[i][j - i] if i <= j else u[j][i - j].conjugate() for j in range(n))
@@ -301,10 +344,15 @@ class PositivityReport:
 def build_q_matrix(c: DiskCollection) -> HermitianMatrix:
     """Q matrix of a disk collection: Q_ij = -prod_k[(a_i-a_k)conj(a_j-a_k) - R_k^2].
 
-    An exact collection's Q is held as the Gaussian-integer matrix L^(2n) Q,
-    L the lcm of all center and radius denominators.  A floating collection
-    gets the equilibrated matrix E = D^-1 Q D^-1 with D_i = prod_k s_ik
-    and s_ik = sqrt|g_ik|, g_ik = |a_i-a_k|^2 - R_k^2:
+    An exact collection's Q depends on the centers only through their
+    differences and is multiplied by s^(2n) when every center and radius
+    is: on the cleared integers of _cleared_collection, U = s^(2n) Q is a
+    Gaussian-integer matrix, held in the primitive form of HermitianMatrix
+    as U / c over den = s^(2n) / c, c the gcd of every part of U.  U / c is
+    the one primitive Gaussian-integer matrix that is a positive multiple
+    of Q, and the cleared differences keep the build's integers short.  A
+    floating collection gets the equilibrated matrix E = D^-1 Q D^-1 with
+    D_i = prod_k s_ik and s_ik = sqrt|g_ik|, g_ik = |a_i-a_k|^2 - R_k^2:
     each factor of the product is divided by s_ik s_jk, so E never leaves
     the double range, its diagonal E_ii is -prod_k sign(g_ik) = +-1 up to
     rounding (about 0 when some Q_ii = 0, where the vanishing factor stays
@@ -316,21 +364,22 @@ def build_q_matrix(c: DiskCollection) -> HermitianMatrix:
     """
     n = c.n
     if c.is_exact:
-        # clear every denominator: with L a and L R the factors are Gaussian
-        # integers, each L^2 times the factor of Q, so the product is L^(2n) Q
-        x, y, r, lcm = _cleared_collection(c)
+        # on the cleared integers each factor is a Gaussian integer, s^2
+        # times the factor of Q, so the product is s^(2n) Q
+        x, y, r, s = _cleared_collection(c)
         r2 = [rk * rk for rk in r]
+        d = [[(xi - xk, yi - yk) for xk, yk in zip(x, y)] for xi, yi in zip(x, y)]  # a_i - a_k
         upper = [[None] * (n - i) for i in range(n)]
         for i in range(n):
             for j in range(i, n):
                 re, im = -1, 0
-                for xk, yk, rk in zip(x, y, r2):
+                for (ur, ui), (vr, vi), rk in zip(d[i], d[j], r2):
                     # factor u conj(v) - R_k^2, u = a_i - a_k, v = a_j - a_k
-                    ur, ui, vr, vi = x[i] - xk, y[i] - yk, x[j] - xk, y[j] - yk
                     fr, fi = ur * vr + ui * vi - rk, ui * vr - ur * vi
                     re, im = re * fr - im * fi, re * fi + im * fr
                 upper[i][j - i] = (re, im)
-        return HermitianMatrix._built(upper=upper, den=lcm ** (2 * n))
+        upper, den = _primitive(upper, s ** (2 * n))
+        return HermitianMatrix._built(upper=upper, den=den)
 
     e, log_scale, bound = _equilibrated(np.array([c.centers]), np.array([c.radii]))
     return HermitianMatrix._built(e[0], log_scale[0], bound[0])
@@ -440,7 +489,8 @@ def is_admissible(c: DiskCollection) -> bool:
 
     Strict inequality R_k < |a_j - a_k| for all j != k; decided exactly
     for exact collections, on squared quantities of the cleared integers
-    L a and L R (scaling by L^2 keeps every comparison).
+    s (a - a_0) and s R of _cleared_collection (a translation and a
+    positive scale keep every comparison).
     """
     n = c.n
     if c.is_exact:
@@ -644,20 +694,23 @@ def _div(x: int, d: int) -> int:
 
 
 def _decide_exact(m: HermitianMatrix) -> PositivityReport:
-    """Leading minors of Q = U / den by one fraction-free (Bareiss) pass on U.
+    """Leading minors of Q = U / den by one fraction-free (Bareiss) pass on
+    the primitive Gaussian-integer matrix U, den > 0 rational.
 
     Step k divides a_ij <- p a_ij - conj(a_ki) a_kj exactly by the previous
     pivot; the pivot p = a_kk is leading minor k+1 of U, real as U stays
-    Hermitian, so only the upper triangle is kept.  A zero minor, the next
-    divisor, ends the pass and the certificate."""
+    Hermitian, so only the upper triangle is kept, and minor k+1 of Q is
+    p / den^(k+1).  A zero minor, the next divisor, ends the pass and the
+    certificate."""
     a = list(m._upper)
+    top, bottom = m._den.numerator, m._den.denominator
     minors = []
     prev = 1
     for k, pivot_row in enumerate(a):
         p, p_im = pivot_row[0]
         if p_im:
             raise ArithmeticError("Hermitian leading minor must be real")
-        minors.append(Fraction(p, m._den ** (k + 1)))
+        minors.append(Fraction(p * bottom ** (k + 1), top ** (k + 1)))
         if p == 0:
             break
         for i in range(k + 1, m.order):
@@ -688,8 +741,9 @@ def is_positive_definite(m: HermitianMatrix, mode: str = "floating", tol: float 
     verdict is given.  See _decide_stack for the proof.
 
     mode="exact": Sylvester's criterion on the leading principal minors from
-    one fraction-free (Bareiss) elimination of the integer matrix den * Q,
-    which a zero minor ends; needs Gaussian rational entries.
+    one fraction-free (Bareiss) elimination of the primitive integer matrix
+    den * Q (see HermitianMatrix), which a zero minor ends; needs Gaussian
+    rational entries.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")

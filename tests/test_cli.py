@@ -3,7 +3,9 @@ import hashlib
 import io
 import json
 import math
+import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +20,39 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def exact_documents() -> list[str]:
+    """Seeded rational documents, n = 2..16: per n a regular n-gon with
+    vertices rounded to 1/1000, scaled by p / 10^j and shifted by
+    (p/7, q/3), and a generic collection on a (1/q)Z grid."""
+    def document(points, radii) -> str:
+        disks = [{"center": [str(x), str(y)], "radius": str(r)} for (x, y), r in zip(points, radii)]
+        return json.dumps({"disks": disks})
+
+    rng = random.Random(2007)
+    docs = []
+    for n in range(2, 17):
+        scale = Fraction(rng.randint(11, 30), 10 ** (n % 3))
+        shift = (Fraction(rng.randint(-50, 50), 7), Fraction(rng.randint(-50, 50), 3))
+        theta = rng.uniform(0, 2 * math.pi)
+        points = [
+            (Fraction(round(math.cos(a) * 1000), 1000) * scale + shift[0],
+             Fraction(round(math.sin(a) * 1000), 1000) * scale + shift[1])
+            for a in (theta + 2 * math.pi * k / n for k in range(n))
+        ]
+        r = Fraction(round(math.sin(math.pi / n) * rng.uniform(0.9, 1.5) * 1000), 1000) * scale
+        docs.append(document(points, [r] * n))
+        q = rng.choice([1, 2, 3, 4, 6, 8, 12])
+        grid = set()
+        while len(grid) < n:
+            grid.add((rng.randint(-20 * q, 20 * q), rng.randint(-20 * q, 20 * q)))
+        points = [(Fraction(x, q), Fraction(y, q)) for x, y in sorted(grid)]
+        gap = min(math.dist(a, b) for a in points for b in points if a != b)
+        qr = rng.choice([1, 2, 5, 10])
+        radii = [Fraction(max(1, int(gap * rng.uniform(0.3, 1.3) * qr)), qr) for _ in points]
+        docs.append(document(points, radii))
+    return docs
 
 
 class TestParsing:
@@ -253,6 +288,18 @@ class TestVerifyCommand:
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "350066330514644e4919ad9c474e7ed71779a7c5e1e9cee7d01a4088500dcc08"
+
+    def test_golden_exact_check(self, capsys, monkeypatch):
+        # exact minors print in full, so any change to the exact build or
+        # decision that is not the same Fractions shows here
+        digest = hashlib.sha256()
+        for doc in exact_documents():
+            for fmt in ("json", "text"):
+                monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+                code, out, err = run(["check", "-", "--format", fmt], capsys)
+                assert (code, err) == (0, "")
+                digest.update(out.encode())
+        assert digest.hexdigest() == "d7933e8f10f7d549c22ef84f63a593b6fde156a3e179405df306aad6a71b4d2b"
 
     def test_unknown_suite_exits_two(self, capsys):
         code, out, err = run(["verify", "--suite", "bogus"], capsys)

@@ -698,6 +698,44 @@ class TestExactDecision:
         assert report.minors == (0,)
         assert report.failing_index == 0
 
+    def test_minors_are_invariant_under_translation_and_scale_exactly(self):
+        # Q depends on the centers only through their differences and is
+        # multiplied by t^(2n) when every center and radius is, so minor k
+        # (1-based) is multiplied by t^(2nk)
+        rng = random.Random(23)
+        collections = [([(0, 0)], [Fraction(5, 3)]), ([(0, 0), (2, 0)], [1, 2])]
+        for n in range(1, 9):
+            for _ in range(3):
+                centers = set()
+                while len(centers) < n:
+                    centers.add(tuple(Fraction(rng.randint(-40, 40), rng.choice([1, 2, 5, 6])) for _ in range(2)))
+                radii = [Fraction(rng.randint(1, 30), rng.choice([1, 3, 4, 10])) for _ in range(n)]
+                collections.append((sorted(centers), radii))
+        verdicts = set()
+        for centers, radii in collections:
+            n = len(centers)
+            q = build_q_matrix(DiskCollection(centers, radii))
+            report = is_positive_definite(q, mode="exact")
+            verdicts.add(report.verdict)
+            shift = (Fraction(rng.randint(-50, 50), 7), Fraction(rng.randint(-50, 50), 3))
+            moved = DiskCollection([(x + shift[0], y + shift[1]) for x, y in centers], radii)
+            # one primitive form: the same integers however Q is given
+            assert math.gcd(*(v for row in q._upper for pair in row for v in pair)) == 1
+            assert build_q_matrix(moved)._upper == HermitianMatrix(q.rows)._upper == q._upper
+            got = is_positive_definite(build_q_matrix(moved), mode="exact")
+            assert (got.minors, got.verdict, got.failing_index) == (
+                report.minors, report.verdict, report.failing_index
+            )
+            t = Fraction(rng.randint(1, 99), rng.choice([7, 10, 1000]))
+            scaled = DiskCollection([(x * t, y * t) for x, y in centers], [r * t for r in radii])
+            got = is_positive_definite(build_q_matrix(scaled), mode="exact")
+            assert got.minors == tuple(d * t ** (2 * n * k) for k, d in enumerate(report.minors, start=1))
+            assert got.verdict is report.verdict and got.failing_index == report.failing_index
+            assert is_positive_definite(HermitianMatrix(q.rows), mode="exact").minors == report.minors
+            if n <= 6:
+                assert report.minors == certificate_of(leibniz_minors(fraction_q(centers, radii)))
+        assert verdicts == {Verdict.POSITIVE_DEFINITE, Verdict.NOT_POSITIVE_DEFINITE}
+
     def test_floating_verdict_agrees_with_exact_on_the_same_values(self):
         # every double is a dyadic rational, so the exact decision on
         # Fraction(x) decides the floating input itself
@@ -907,6 +945,39 @@ class TestHermitianMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             HermitianMatrix([[1.0, 2.0]])
+
+    @pytest.mark.parametrize(
+        "rows, where",
+        [
+            ([[math.nan]], r"\(0,0\)"),
+            ([[1.0, 2.0], [complex(2.0, math.nan), 1.0]], r"\(1,0\)"),
+            ([[1.0, complex(math.nan, 0.0)], [2.0, 1.0]], r"\(0,1\)"),
+        ],
+    )
+    def test_nan_entry_is_named(self, rows, where):
+        with pytest.raises(ValueError, match=rf"entry {where} is NaN"):
+            HermitianMatrix(rows)
+
+    def test_exact_matrix_reads_int_and_fraction_entries_as_exact_reals(self):
+        g = GaussianRational
+        m = HermitianMatrix([[g(2), g(1)], [g(1), 2]])
+        assert m.is_exact and m.rows == ((g(2), g(1)), (g(1), g(2)))
+        mixed = HermitianMatrix([[g(Fraction(1, 2)), 1], [Fraction(1), g(3)]])
+        assert mixed.rows == ((g(Fraction(1, 2)), g(1)), (g(1), g(3)))
+        assert is_positive_definite(mixed, mode="exact").minors == (Fraction(1, 2), Fraction(1, 2))
+
+    @pytest.mark.parametrize(
+        "rows, where",
+        [
+            ([[GaussianRational(1), 0j], [0j, GaussianRational(1)]], r"\(0,1\)"),
+            ([[GaussianRational(1), 0], [0, 1.0]], r"\(1,1\)"),
+            ([[GaussianRational(1), True], [True, GaussianRational(1)]], r"\(0,1\)"),
+            ([[GaussianRational(0.5)]], r"\(0,0\)"),
+        ],
+    )
+    def test_exact_matrix_rejects_an_inexact_entry(self, rows, where):
+        with pytest.raises(ValueError, match=rf"entry {where} is not exact"):
+            HermitianMatrix(rows)
 
 
 def test_hermitian_exact_check_catches_a_perturbed_entry(monkeypatch):
