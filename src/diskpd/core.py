@@ -783,7 +783,6 @@ def max_uniform_scale(c: DiskCollection, tol: float = 1e-12) -> float:
         raise ValueError("tolerance must be positive")
     if c.n == 1:
         return math.inf
-    centers = np.array([c.centers])
     latest = {}  # side -> (s, Q): the latest build at a scale on that side
 
     def build(s: float) -> HermitianMatrix:
@@ -791,8 +790,7 @@ def max_uniform_scale(c: DiskCollection, tol: float = 1e-12) -> float:
             if t == s:
                 return m
         # the scaled collection raises for a radius out of the double range
-        e, log_scale, bound = _equilibrated(centers, np.array([c.scaled(s).radii]))
-        return HermitianMatrix._built(e[0], log_scale[0], bound[0])
+        return build_q_matrix(c.scaled(s))
 
     def bracket_end(s: float) -> bool:
         m = build(s)

@@ -150,16 +150,9 @@ def positivity_by_t(n: int, r: float) -> bool:
 
 
 def _log_abs_fraction(q: Fraction) -> float:
-    """log|q| robust to values far outside float range."""
-
-    def log_int(a: int) -> float:
-        bits = a.bit_length()
-        if bits <= 512:
-            return math.log(a)
-        shift = bits - 64
-        return math.log(a >> shift) + shift * math.log(2)
-
-    return log_int(abs(q.numerator)) - log_int(q.denominator)
+    """log|q| for values far outside the double range: math.log takes ints
+    of any size."""
+    return math.log(abs(q.numerator)) - math.log(q.denominator)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ minors of the Q matrix in the variables x_i = R_i^2.
 from __future__ import annotations
 
 import warnings
+from fractions import Fraction
 from itertools import product
 
 __all__ = [
@@ -30,8 +31,10 @@ def triangle_positive(r1: float, r2: float, r3: float) -> bool:
     """Positivity criterion: R_1^2 + R_2^2 + R_3^2 < 3, strict.
 
     Radii must be admissible (R_i < sqrt(3)); violations raise naming the
-    offending index.  Inputs within 1e-12 of the boundary sum are decided
-    by the strict inequality but flagged with a proximity warning.
+    offending index.  Where the rounded sum of squares lies within 1e-12 of
+    3, the answer is decided exactly on the given doubles, from the sum of
+    their exact squares, and flagged with a proximity warning: values that
+    were rounded to those doubles may lie on the other side.
     """
     radii = (r1, r2, r3)
     for idx, r in enumerate(radii, start=1):
@@ -45,9 +48,10 @@ def triangle_positive(r1: float, r2: float, r3: float) -> bool:
     if abs(total - 3.0) < _BOUNDARY_BAND:
         warnings.warn(
             f"squared-radius sum {total!r} lies within {_BOUNDARY_BAND} of the "
-            "positivity boundary 3; the strict verdict may be unreliable",
+            "positivity boundary 3; the verdict is exact for the given doubles only",
             stacklevel=2,
         )
+        return sum(Fraction(r) ** 2 for r in radii) < 3
     return total < 3.0
 
 

@@ -1,8 +1,9 @@
 """Runtime verification suites for every module's invariants.
 
-Each suite returns a list of CheckResult records (first counterexample in
-`detail` on failure) and is driven by explicit seeds, so identical
-arguments always reproduce identical outcomes.  The CLI `verify`
+Each suite returns a list of CheckResult records and is driven by explicit
+seeds, so identical arguments always reproduce identical outcomes.  Most
+checks are generators that yield their counterexamples; the first one is
+the failure's `detail`, and the check stops there.  The CLI `verify`
 subcommand runs these; the test suite asserts on them as well.
 """
 
@@ -12,6 +13,7 @@ import cmath
 import math
 import random
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,16 +42,24 @@ class CheckResult:
     informational: bool = False
 
 
-def random_collection(rng: random.Random, nmax: int = 8, min_separation: float = 0.1) -> DiskCollection:
+def _first_failure(name: str, failures: Iterator[str]) -> CheckResult:
+    """The check `name`, failed with the first counterexample message that
+    `failures` yields, or passed if it yields none.  Nothing after the
+    first one is drawn."""
+    detail = next(failures, None)
+    return CheckResult(name, detail is None, detail or "")
+
+
+def random_collection(rng: random.Random, nmax: int = 8) -> DiskCollection:
     """Random collection: n in [2, nmax], centers in the unit box,
-    pairwise center distance at least min_separation, unit placeholder radii."""
+    pairwise center distance at least 0.1, unit placeholder radii."""
     n = rng.randint(2, nmax)
     for _ in range(10_000):
         centers = [complex(rng.random(), rng.random()) for _ in range(n)]
         dmin = min(
             abs(centers[i] - centers[j]) for i in range(n) for j in range(i + 1, n)
         )
-        if dmin >= min_separation:
+        if dmin >= 0.1:
             return DiskCollection(centers, [1.0] * n)
     raise RuntimeError("failed to sample a separated center configuration")
 
@@ -142,85 +152,78 @@ def core_suite(seed: int = 0, samples: int = 200, nmax: int = 8) -> list[CheckRe
     out.append(CheckResult("core.hermitian-exact", exact_ok))
 
     # small radii always positive
-    bad = None
-    for idx in range(samples):
-        base = random_collection(rng, nmax)
-        dmin = base.min_pairwise_distance()
-        scale = 1e-3 * dmin
-        radii = [scale * rng.uniform(0.05, 1.0) for _ in range(base.n)]
-        if not _is_positive(_with_radii(base, radii)):
-            bad = f"sample {idx}: n={base.n} not positive at radii scale {scale:.2e}"
-            break
-    out.append(CheckResult("core.small-radius-positivity", bad is None, bad or ""))
+    def small_radii():
+        for idx in range(samples):
+            base = random_collection(rng, nmax)
+            dmin = base.min_pairwise_distance()
+            scale = 1e-3 * dmin
+            radii = [scale * rng.uniform(0.05, 1.0) for _ in range(base.n)]
+            if not _is_positive(_with_radii(base, radii)):
+                yield f"sample {idx}: n={base.n} not positive at radii scale {scale:.2e}"
+    out.append(_first_failure("core.small-radius-positivity", small_radii()))
 
     # positivity is inherited by subcollections
-    bad = None
-    for idx in range(samples):
-        c = _sample_positive_collection(rng, nmax)
-        size = rng.randint(1, c.n)
-        subset = sorted(rng.sample(range(c.n), size))
-        if not _is_positive(c.subcollection(subset)):
-            bad = f"sample {idx}: subcollection {subset} of n={c.n} lost positivity"
-            break
-    out.append(CheckResult("core.subcollection-closure", bad is None, bad or ""))
+    def subcollections():
+        for idx in range(samples):
+            c = _sample_positive_collection(rng, nmax)
+            size = rng.randint(1, c.n)
+            subset = sorted(rng.sample(range(c.n), size))
+            if not _is_positive(c.subcollection(subset)):
+                yield f"sample {idx}: subcollection {subset} of n={c.n} lost positivity"
+    out.append(_first_failure("core.subcollection-closure", subcollections()))
 
     # positivity is preserved under componentwise radius shrinking
-    bad = None
-    for idx in range(samples):
-        c = _sample_positive_collection(rng, nmax)
-        shrunk = _with_radii(c, [r * rng.uniform(0.05, 1.0) for r in c.radii])
-        if not _is_positive(shrunk):
-            bad = f"sample {idx}: shrunk radii lost positivity (n={c.n})"
-            break
-    out.append(CheckResult("core.radius-monotonicity", bad is None, bad or ""))
+    def shrunk_radii():
+        for idx in range(samples):
+            c = _sample_positive_collection(rng, nmax)
+            shrunk = _with_radii(c, [r * rng.uniform(0.05, 1.0) for r in c.radii])
+            if not _is_positive(shrunk):
+                yield f"sample {idx}: shrunk radii lost positivity (n={c.n})"
+    out.append(_first_failure("core.radius-monotonicity", shrunk_radii()))
 
     # verdict is invariant under center rotation + translation
-    bad = None
-    for idx in range(60):
-        base = random_collection(rng, nmax)
-        dmin = base.min_pairwise_distance()
-        c = _with_radii(base, [dmin * rng.uniform(0.2, 0.8) for _ in range(base.n)])
-        phase = cmath.exp(2j * math.pi * rng.random())
-        shift = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        moved = DiskCollection([phase * z + shift for z in c.centers], c.radii)
-        v1 = core.is_positive_definite(core.build_q_matrix(c)).verdict
-        v2 = core.is_positive_definite(core.build_q_matrix(moved)).verdict
-        if v1 is not v2:
-            bad = f"sample {idx}: verdict changed under rigid motion ({v1} vs {v2})"
-            break
-    out.append(CheckResult("core.rigid-motion-invariance", bad is None, bad or ""))
+    def rigid_motions():
+        for idx in range(60):
+            base = random_collection(rng, nmax)
+            dmin = base.min_pairwise_distance()
+            c = _with_radii(base, [dmin * rng.uniform(0.2, 0.8) for _ in range(base.n)])
+            phase = cmath.exp(2j * math.pi * rng.random())
+            shift = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            moved = DiskCollection([phase * z + shift for z in c.centers], c.radii)
+            v1 = core.is_positive_definite(core.build_q_matrix(c)).verdict
+            v2 = core.is_positive_definite(core.build_q_matrix(moved)).verdict
+            if v1 is not v2:
+                yield f"sample {idx}: verdict changed under rigid motion ({v1} vs {v2})"
+    out.append(_first_failure("core.rigid-motion-invariance", rigid_motions()))
 
     # scaling centers and radii by t multiplies Q by t^(2n), verdict fixed;
     # by t = 2^k, which is exact for every input that stays normal, E and
     # its error bound v do not change by a bit
-    bad = None
-    for idx in range(60):
-        base = random_collection(rng, nmax)
-        dmin = base.min_pairwise_distance()
-        c = _with_radii(base, [dmin * rng.uniform(0.2, 0.8) for _ in range(base.n)])
-        t = rng.uniform(0.3, 3.0)
-        q1 = core.build_q_matrix(c)
-        q2 = core.build_q_matrix(DiskCollection([t * z for z in c.centers], [t * r for r in c.radii]))
-        factor = t ** (2 * c.n)
-        a1, a2 = q1.to_numpy(), q2.to_numpy()
-        if not np.allclose(a2, factor * a1, rtol=1e-9, atol=1e-9 * factor * np.abs(a1).max()):
-            bad = f"sample {idx}: entries do not scale by t^(2n)"
-            break
-        v1 = core.is_positive_definite(q1).verdict
-        if v1 is not core.is_positive_definite(q2).verdict:
-            bad = f"sample {idx}: verdict changed under similarity scaling"
-            break
-        k = rng.randint(-1000, 1000)
-        p = 2.0**k
-        centers, radii = [p * z for z in c.centers], [p * r for r in c.radii]
-        if [z / p for z in centers] != list(c.centers) or [r / p for r in radii] != list(c.radii):
-            continue  # a subnormal input rounded: a different collection
-        q3 = core.build_q_matrix(DiskCollection(centers, radii))
-        same = q3._e.tobytes() == q1._e.tobytes() and q3._bound.tobytes() == q1._bound.tobytes()
-        if not same or core.is_positive_definite(q3).verdict is not v1:
-            bad = f"sample {idx}: E, v or the verdict changed under scaling by 2^{k}"
-            break
-    out.append(CheckResult("core.scaling-covariance", bad is None, bad or ""))
+    def scalings():
+        for idx in range(60):
+            base = random_collection(rng, nmax)
+            dmin = base.min_pairwise_distance()
+            c = _with_radii(base, [dmin * rng.uniform(0.2, 0.8) for _ in range(base.n)])
+            t = rng.uniform(0.3, 3.0)
+            q1 = core.build_q_matrix(c)
+            q2 = core.build_q_matrix(DiskCollection([t * z for z in c.centers], [t * r for r in c.radii]))
+            factor = t ** (2 * c.n)
+            a1, a2 = q1.to_numpy(), q2.to_numpy()
+            if not np.allclose(a2, factor * a1, rtol=1e-9, atol=1e-9 * factor * np.abs(a1).max()):
+                yield f"sample {idx}: entries do not scale by t^(2n)"
+            v1 = core.is_positive_definite(q1).verdict
+            if v1 is not core.is_positive_definite(q2).verdict:
+                yield f"sample {idx}: verdict changed under similarity scaling"
+            k = rng.randint(-1000, 1000)
+            p = 2.0**k
+            centers, radii = [p * z for z in c.centers], [p * r for r in c.radii]
+            if [z / p for z in centers] != list(c.centers) or [r / p for r in radii] != list(c.radii):
+                continue  # a subnormal input rounded: a different collection
+            q3 = core.build_q_matrix(DiskCollection(centers, radii))
+            same = q3._e.tobytes() == q1._e.tobytes() and q3._bound.tobytes() == q1._bound.tobytes()
+            if not same or core.is_positive_definite(q3).verdict is not v1:
+                yield f"sample {idx}: E, v or the verdict changed under scaling by 2^{k}"
+    out.append(_first_failure("core.scaling-covariance", scalings()))
     return out
 
 
@@ -229,91 +232,77 @@ def core_suite(seed: int = 0, samples: int = 200, nmax: int = 8) -> list[CheckRe
 # ---------------------------------------------------------------------------
 
 
-def symmetric_suite(nmax: int = 12, zcount: int = 20, seed: int = 0) -> list[CheckResult]:
+def symmetric_suite(nmax: int = 12, seed: int = 0) -> list[CheckResult]:
     rng = random.Random(seed)
     out = []
 
-    bad = None
-    for n in range(2, nmax + 1):
-        for _ in range(zcount):
-            z = rng.uniform(-1.0, 3.0)
-            a = symmetric.a_matrix(n, z)
-            eig = sorted(a.eigenvalues())
-            tv = sorted(symmetric.circulant_spectrum(n, z, check=False))
-            scale = max(1.0, max(abs(t) for t in tv))
-            if any(abs(e - t) > 1e-7 * scale for e, t in zip(eig, tv)):
-                bad = f"n={n}, z={z:.6f}: eigenvalues deviate from T values"
-                break
-        if bad:
-            break
-    out.append(CheckResult("symmetric.spectrum-identity", bad is None, bad or ""))
+    def spectra():
+        for n in range(2, nmax + 1):
+            for _ in range(20):
+                z = rng.uniform(-1.0, 3.0)
+                a = symmetric.a_matrix(n, z)
+                eig = sorted(a.eigenvalues())
+                tv = sorted(symmetric.circulant_spectrum(n, z, check=False))
+                scale = max(1.0, max(abs(t) for t in tv))
+                if any(abs(e - t) > 1e-7 * scale for e, t in zip(eig, tv)):
+                    yield f"n={n}, z={z:.6f}: eigenvalues deviate from T values"
+    out.append(_first_failure("symmetric.spectrum-identity", spectra()))
 
-    bad = None
-    for n in range(2, nmax + 1):
-        for _ in range(zcount):
-            z = rng.uniform(-1.0, 3.0)
-            tv = symmetric.circulant_spectrum(n, z, check=False)
-            scale = max(abs(t) for t in tv)
-            if min(abs(t) for t in tv) < 1e-6 * max(scale, 1.0):
-                continue  # too close to a determinant zero for a ratio
-            sgn, logdet = np.linalg.slogdet(symmetric.a_matrix(n, z).to_numpy())
-            t_sign = 1
-            t_log = 0.0
-            for t in tv:
-                t_sign *= 1 if t > 0 else -1
-                t_log += math.log(abs(t))
-            if (1 if sgn.real > 0 else -1) != t_sign or abs(logdet - t_log) > 1e-7 * max(
-                1.0, abs(t_log)
-            ):
-                bad = f"n={n}, z={z:.6f}: det A != prod T"
-                break
-        if bad:
-            break
-    out.append(CheckResult("symmetric.product-identity", bad is None, bad or ""))
+    def determinants():
+        for n in range(2, nmax + 1):
+            for _ in range(20):
+                z = rng.uniform(-1.0, 3.0)
+                tv = symmetric.circulant_spectrum(n, z, check=False)
+                scale = max(abs(t) for t in tv)
+                if min(abs(t) for t in tv) < 1e-6 * max(scale, 1.0):
+                    continue  # too close to a determinant zero for a ratio
+                sgn, logdet = np.linalg.slogdet(symmetric.a_matrix(n, z).to_numpy())
+                t_sign = 1
+                t_log = 0.0
+                for t in tv:
+                    t_sign *= 1 if t > 0 else -1
+                    t_log += math.log(abs(t))
+                if (1 if sgn.real > 0 else -1) != t_sign or abs(logdet - t_log) > 1e-7 * max(
+                    1.0, abs(t_log)
+                ):
+                    yield f"n={n}, z={z:.6f}: det A != prod T"
+    out.append(_first_failure("symmetric.product-identity", determinants()))
 
-    bad = None
-    for n in range(2, nmax + 1):
-        r = rng.uniform(0.1, 1.5)
-        q = core.build_q_matrix(symmetric.regular_collection(n, r)).to_numpy()
-        a = symmetric.a_matrix(n, r * r - 1).to_numpy()
-        scale = max(1.0, float(np.abs(q).max()))
-        if float(np.abs(q + a).max()) > 1e-10 * scale:
-            bad = f"n={n}, r={r:.6f}: -A(r^2-1) deviates from Q"
-            break
-    out.append(CheckResult("symmetric.core-consistency", bad is None, bad or ""))
+    def q_matrices():
+        for n in range(2, nmax + 1):
+            r = rng.uniform(0.1, 1.5)
+            q = core.build_q_matrix(symmetric.regular_collection(n, r)).to_numpy()
+            a = symmetric.a_matrix(n, r * r - 1).to_numpy()
+            scale = max(1.0, float(np.abs(q).max()))
+            if float(np.abs(q + a).max()) > 1e-10 * scale:
+                yield f"n={n}, r={r:.6f}: -A(r^2-1) deviates from Q"
+    out.append(_first_failure("symmetric.core-consistency", q_matrices()))
 
-    bad = None
-    for n in range(2, nmax + 1):
-        for m in range(1, n + 1):
-            t = symmetric.t_polynomial(n, m)
-            if any(c.denominator != 1 for c in t.coefficients):
-                bad = f"T({n},{m}) has a non-integer coefficient"
-                break
-            if m < n and t.degree != n - m:
-                bad = f"T({n},{m}) has degree {t.degree}, expected {n - m}"
-                break
-        if bad:
-            break
-    out.append(CheckResult("symmetric.integer-coefficients", bad is None, bad or ""))
+    def t_coefficients():
+        for n in range(2, nmax + 1):
+            for m in range(1, n + 1):
+                t = symmetric.t_polynomial(n, m)
+                if any(c.denominator != 1 for c in t.coefficients):
+                    yield f"T({n},{m}) has a non-integer coefficient"
+                elif m < n and t.degree != n - m:
+                    yield f"T({n},{m}) has degree {t.degree}, expected {n - m}"
+    out.append(_first_failure("symmetric.integer-coefficients", t_coefficients()))
 
-    bad = None
-    for n in range(2, nmax + 1):
-        for m in range(1, n):
-            t = symmetric.t_polynomial(n, m)
-            jac = orthopoly.jacobi_polynomial(m, n - 2 * m, -1)
-            bridged = Fraction((-1) ** (n - m) * n * n, n - m) * jac.compose(
-                orthopoly.RationalPolynomial((1, 2))
-            )
-            if n - 2 * m >= 0:
-                ok = t == orthopoly.RationalPolynomial.monomial(n - 2 * m) * bridged
-            else:
-                ok = orthopoly.RationalPolynomial.monomial(2 * m - n) * t == bridged
-            if not ok:
-                bad = f"Jacobi link fails at n={n}, m={m}"
-                break
-        if bad:
-            break
-    out.append(CheckResult("symmetric.jacobi-link", bad is None, bad or ""))
+    def jacobi_links():
+        for n in range(2, nmax + 1):
+            for m in range(1, n):
+                t = symmetric.t_polynomial(n, m)
+                jac = orthopoly.jacobi_polynomial(m, n - 2 * m, -1)
+                bridged = Fraction((-1) ** (n - m) * n * n, n - m) * jac.compose(
+                    orthopoly.RationalPolynomial((1, 2))
+                )
+                if n - 2 * m >= 0:
+                    ok = t == orthopoly.RationalPolynomial.monomial(n - 2 * m) * bridged
+                else:
+                    ok = orthopoly.RationalPolynomial.monomial(2 * m - n) * t == bridged
+                if not ok:
+                    yield f"Jacobi link fails at n={n}, m={m}"
+    out.append(_first_failure("symmetric.jacobi-link", jacobi_links()))
     return out
 
 
@@ -377,139 +366,116 @@ def orthopoly_suite(seed: int = 0, nmax: int = 12) -> list[CheckResult]:
     rng = random.Random(seed)
     out = []
 
-    bad = None
-    for idx in range(100):
-        deg = rng.randint(1, 8)
-        coeffs = [rng.randint(-9, 9) for _ in range(deg)] + [rng.randint(1, 9)]
-        poly = orthopoly.RationalPolynomial(coeffs)
-        factors = [(coeffs, 1)]
-        if rng.random() < 0.3:
-            extra = [rng.randint(-4, 4) for _ in range(2)] + [rng.randint(1, 4)]
-            factors.append((extra, 2))  # exercises multiplicity handling
-            poly = poly * orthopoly.RationalPolynomial(extra) ** 2
-        iso = orthopoly.isolate_real_roots(poly, None, 1e-9)
-        oracle = _factored_real_roots(factors)
-        agree = len(oracle) == iso.count_distinct and all(
-            abs(value - approx) < 1e-6 and mult == want
-            for (value, want), approx, (_, _, mult) in zip(
-                oracle, iso.refined, iso.intervals
+    def companion_oracles():
+        for idx in range(100):
+            deg = rng.randint(1, 8)
+            coeffs = [rng.randint(-9, 9) for _ in range(deg)] + [rng.randint(1, 9)]
+            poly = orthopoly.RationalPolynomial(coeffs)
+            factors = [(coeffs, 1)]
+            if rng.random() < 0.3:
+                extra = [rng.randint(-4, 4) for _ in range(2)] + [rng.randint(1, 4)]
+                factors.append((extra, 2))  # exercises multiplicity handling
+                poly = poly * orthopoly.RationalPolynomial(extra) ** 2
+            iso = orthopoly.isolate_real_roots(poly, None, 1e-9)
+            oracle = _factored_real_roots(factors)
+            agree = len(oracle) == iso.count_distinct and all(
+                abs(value - approx) < 1e-6 and mult == want
+                for (value, want), approx, (_, _, mult) in zip(
+                    oracle, iso.refined, iso.intervals
+                )
             )
-        )
-        if not agree:
-            bad = (
-                f"sample {idx}: isolation {list(zip(iso.refined, [m for _, _, m in iso.intervals]))}"
-                f" vs companion oracle {oracle}"
-            )
-            break
-    out.append(CheckResult("orthopoly.sturm-vs-companion", bad is None, bad or ""))
+            if not agree:
+                yield (
+                    f"sample {idx}: isolation {list(zip(iso.refined, [m for _, _, m in iso.intervals]))}"
+                    f" vs companion oracle {oracle}"
+                )
+    out.append(_first_failure("orthopoly.sturm-vs-companion", companion_oracles()))
 
     # constructed integer roots with known multiplicities, checked exactly
-    bad = None
-    for idx in range(40):
-        roots = rng.sample(range(-6, 7), rng.randint(1, 4))
-        mults = [rng.randint(1, 3) for _ in roots]
-        poly = orthopoly.RationalPolynomial([rng.randint(1, 5)])
-        for root, mult in zip(roots, mults):
-            poly = poly * orthopoly.RationalPolynomial((-root, 1)) ** mult
-        iso = orthopoly.isolate_real_roots(poly, None, 1e-9)
-        expected = sorted(zip(roots, mults))
-        got_ok = len(iso.intervals) == len(expected)
-        if got_ok:
-            for (lo, hi, mult), (root, want_mult) in zip(iso.intervals, expected):
-                if not (lo < root <= hi and mult == want_mult):
-                    got_ok = False
-                    break
-        if not got_ok:
-            bad = f"sample {idx}: roots {expected} not recovered"
-            break
-    out.append(CheckResult("orthopoly.isolation-known-roots", bad is None, bad or ""))
+    def known_roots():
+        for idx in range(40):
+            roots = rng.sample(range(-6, 7), rng.randint(1, 4))
+            mults = [rng.randint(1, 3) for _ in roots]
+            poly = orthopoly.RationalPolynomial([rng.randint(1, 5)])
+            for root, mult in zip(roots, mults):
+                poly = poly * orthopoly.RationalPolynomial((-root, 1)) ** mult
+            iso = orthopoly.isolate_real_roots(poly, None, 1e-9)
+            expected = sorted(zip(roots, mults))
+            if len(iso.intervals) != len(expected) or not all(
+                lo < root <= hi and mult == want_mult
+                for (lo, hi, mult), (root, want_mult) in zip(iso.intervals, expected)
+            ):
+                yield f"sample {idx}: roots {expected} not recovered"
+    out.append(_first_failure("orthopoly.isolation-known-roots", known_roots()))
 
-    bad = None
-    for n in range(4, nmax + 1):
-        for check in orthopoly.v_identity_suite(n):
-            if not check.passed:
-                bad = f"identity {check.identity} fails at n={n}, m={check.m}"
-                break
-        if bad:
-            break
-    out.append(CheckResult("orthopoly.v-identities-exact", bad is None, bad or ""))
+    identities = (
+        f"identity {check.identity} fails at n={n}, m={check.m}"
+        for n in range(4, nmax + 1)
+        for check in orthopoly.v_identity_suite(n)
+        if not check.passed
+    )
+    out.append(_first_failure("orthopoly.v-identities-exact", identities))
 
-    bad = None
-    for n in range(4, nmax + 1):
-        for m in range(2, n):
-            report = orthopoly.zero_structure_check(n, m)
-            if not report.passed:
-                bad = f"zero structure fails at n={n}, m={m}"
-                break
-        if bad:
-            break
-    out.append(CheckResult("orthopoly.zero-structure", bad is None, bad or ""))
+    zero_structures = (
+        f"zero structure fails at n={n}, m={m}"
+        for n in range(4, nmax + 1)
+        for m in range(2, n)
+        if not orthopoly.zero_structure_check(n, m).passed
+    )
+    out.append(_first_failure("orthopoly.zero-structure", zero_structures))
 
     # second-largest zero comparison: interior Chebyshev node vs the
     # generalized parameters (-1, 0)
-    bad = None
-    for n in range(2, 11):
-        cheb = orthopoly.jacobi_polynomial(n, Fraction(-1, 2), Fraction(-1, 2))
-        gen = orthopoly.jacobi_polynomial(n, -1, 0)
-        z_cheb = orthopoly.isolate_real_roots(cheb, (Fraction(-1), Fraction(1)), 1e-12)
-        z_gen = orthopoly.isolate_real_roots(gen, (Fraction(-1), Fraction(1)), 1e-12)
-        if len(z_cheb.refined) < 2 or len(z_gen.refined) < 2:
-            bad = f"n={n}: unexpected root counts"
-            break
-        second_cheb = sorted(z_cheb.refined)[-2]
-        second_gen = sorted(z_gen.refined)[-2]
-        if not second_cheb < second_gen - 1e-9:
-            bad = f"n={n}: zero monotonicity in the parameters fails"
-            break
-    out.append(CheckResult("orthopoly.markov-monotonicity", bad is None, bad or ""))
+    def markov_pairs():
+        for n in range(2, 11):
+            cheb = orthopoly.jacobi_polynomial(n, Fraction(-1, 2), Fraction(-1, 2))
+            gen = orthopoly.jacobi_polynomial(n, -1, 0)
+            z_cheb = orthopoly.isolate_real_roots(cheb, (Fraction(-1), Fraction(1)), 1e-12)
+            z_gen = orthopoly.isolate_real_roots(gen, (Fraction(-1), Fraction(1)), 1e-12)
+            if len(z_cheb.refined) < 2 or len(z_gen.refined) < 2:
+                yield f"n={n}: unexpected root counts"
+            elif not sorted(z_cheb.refined)[-2] < sorted(z_gen.refined)[-2] - 1e-9:
+                yield f"n={n}: zero monotonicity in the parameters fails"
+    out.append(_first_failure("orthopoly.markov-monotonicity", markov_pairs()))
 
-    bad = None
-    for n in range(2, 11):
-        zero_lists = []
-        for lam in (Fraction(0), Fraction(1, 2), Fraction(1)):
-            p = orthopoly.jacobi_polynomial(n, lam - Fraction(1, 2), lam - Fraction(1, 2))
-            iso = orthopoly.isolate_real_roots(p, (Fraction(0), Fraction(1)), 1e-12)
-            zero_lists.append(sorted(iso.refined, reverse=True))
-        for prev, cur in zip(zero_lists, zero_lists[1:]):
-            for a, b in zip(prev, cur):
-                if not b < a - 1e-9:
-                    bad = f"n={n}: positive zeros fail to decrease with the parameter"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    out.append(CheckResult("orthopoly.stieltjes-monotonicity", bad is None, bad or ""))
+    def stieltjes_families():
+        for n in range(2, 11):
+            zero_lists = []
+            for lam in (Fraction(0), Fraction(1, 2), Fraction(1)):
+                p = orthopoly.jacobi_polynomial(n, lam - Fraction(1, 2), lam - Fraction(1, 2))
+                iso = orthopoly.isolate_real_roots(p, (Fraction(0), Fraction(1)), 1e-12)
+                zero_lists.append(sorted(iso.refined, reverse=True))
+            for prev, cur in zip(zero_lists, zero_lists[1:]):
+                for a, b in zip(prev, cur):
+                    if not b < a - 1e-9:
+                        yield f"n={n}: positive zeros fail to decrease with the parameter"
+    out.append(_first_failure("orthopoly.stieltjes-monotonicity", stieltjes_families()))
 
-    bad = None
     half_x_minus_1 = orthopoly.RationalPolynomial((Fraction(-1, 2), Fraction(1, 2)))
-    for n in range(2, nmax + 1):
-        lhs = n * orthopoly.jacobi_polynomial(n, -1, -1)
-        rhs = (n - 1) * half_x_minus_1 * orthopoly.jacobi_polynomial(n - 1, 1, -1)
-        if lhs != rhs:
-            bad = f"reduction formula fails at n={n}"
-            break
-    out.append(CheckResult("orthopoly.reduction-formula", bad is None, bad or ""))
 
-    bad = None
+    def reductions():
+        for n in range(2, nmax + 1):
+            lhs = n * orthopoly.jacobi_polynomial(n, -1, -1)
+            rhs = (n - 1) * half_x_minus_1 * orthopoly.jacobi_polynomial(n - 1, 1, -1)
+            if lhs != rhs:
+                yield f"reduction formula fails at n={n}"
+    out.append(_first_failure("orthopoly.reduction-formula", reductions()))
+
     minus_x = orthopoly.RationalPolynomial((0, -1))
     params = [Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1)]
-    for k in range(1, 9):
-        for alpha in params:
-            for beta in params:
-                s = alpha + beta
-                if s.denominator == 1 and -2 * k <= s <= -k - 1:
-                    continue  # degenerate line, construction refuses
-                lhs = orthopoly.jacobi_polynomial(k, alpha, beta)
-                rhs = (-1) ** k * orthopoly.jacobi_polynomial(k, beta, alpha).compose(minus_x)
-                if lhs != rhs:
-                    bad = f"swap transformation fails at k={k}, alpha={alpha}, beta={beta}"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    out.append(CheckResult("orthopoly.swap-transformation", bad is None, bad or ""))
+
+    def swaps():
+        for k in range(1, 9):
+            for alpha in params:
+                for beta in params:
+                    s = alpha + beta
+                    if s.denominator == 1 and -2 * k <= s <= -k - 1:
+                        continue  # degenerate line, construction refuses
+                    lhs = orthopoly.jacobi_polynomial(k, alpha, beta)
+                    rhs = (-1) ** k * orthopoly.jacobi_polynomial(k, beta, alpha).compose(minus_x)
+                    if lhs != rhs:
+                        yield f"swap transformation fails at k={k}, alpha={alpha}, beta={beta}"
+    out.append(_first_failure("orthopoly.swap-transformation", swaps()))
     return out
 
 
@@ -518,71 +484,61 @@ def orthopoly_suite(seed: int = 0, nmax: int = 12) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def radius_suite(nmax: int = 64, trend_ns=(16, 32, 64, 128, 256)) -> list[CheckResult]:
+def radius_suite(nmax: int = 64) -> list[CheckResult]:
     out = []
     results = {n: radius.maximal_radius(n) for n in range(2, nmax + 1)}
 
-    bad = None
-    for n in range(3, nmax + 1):
-        if not results[n].rho < results[n - 1].rho:
-            bad = f"rho_{n} >= rho_{n - 1}"
-            break
-    out.append(CheckResult("radius.monotone-decreasing", bad is None, bad or ""))
+    increases = (
+        f"rho_{n} >= rho_{n - 1}" for n in range(3, nmax + 1) if not results[n].rho < results[n - 1].rho
+    )
+    out.append(_first_failure("radius.monotone-decreasing", increases))
 
     # Lower-bound equality holds at n = 3 AND n = 5 (rho_5 = sqrt(2)/2 =
     # sin(pi/4), where the two bounds pinch), upper-bound equality at n = 5
     # only; strict everywhere else at 1e-10 resolution.
-    bad = None
-    for n in range(3, nmax + 1):
-        res = results[n]
-        lower, upper = res.lower_bound, res.upper_bound
-        if n in (3, 5):
-            if abs(res.rho - lower) > 1e-10:
-                bad = f"lower-bound equality at n={n} violated"
-        elif not lower < res.rho - 1e-10:
-            bad = f"lower bound not strict at n={n}"
-        if bad:
-            break
-        if n >= 4:
+    def bound_violations():
+        for n in range(3, nmax + 1):
+            res = results[n]
+            lower, upper = res.lower_bound, res.upper_bound
+            if n in (3, 5):
+                if abs(res.rho - lower) > 1e-10:
+                    yield f"lower-bound equality at n={n} violated"
+            elif not lower < res.rho - 1e-10:
+                yield f"lower bound not strict at n={n}"
             if n == 5:
                 if abs(res.rho - upper) > 1e-10:
-                    bad = "upper-bound equality at n=5 violated"
-            elif not res.rho < upper - 1e-10:
-                bad = f"upper bound not strict at n={n}"
-        if bad:
-            break
-    out.append(CheckResult("radius.two-sided-bounds", bad is None, bad or ""))
+                    yield "upper-bound equality at n=5 violated"
+            elif n >= 4 and not res.rho < upper - 1e-10:
+                yield f"upper bound not strict at n={n}"
+    out.append(_first_failure("radius.two-sided-bounds", bound_violations()))
 
-    bad = None
-    for n in range(2, nmax + 1):
-        if not results[n].beta > 1:
-            bad = f"beta_{n} <= 1"
-            break
-        if not results[n].rho > math.sin(math.pi / n):
-            bad = f"rho_{n} <= sin(pi/{n})"
-            break
-    out.append(CheckResult("radius.overlap-above-one", bad is None, bad or ""))
+    def overlaps():
+        for n in range(2, nmax + 1):
+            if not results[n].beta > 1:
+                yield f"beta_{n} <= 1"
+            if not results[n].rho > math.sin(math.pi / n):
+                yield f"rho_{n} <= sin(pi/{n})"
+    out.append(_first_failure("radius.overlap-above-one", overlaps()))
 
-    bad = None
-    for n in range(4, min(nmax, 12) + 1):
-        nu = n // 2
-        a, b = results[n].isolating_interval
-        t_other = symmetric.t_polynomial(n, nu)
-        va, vb = t_other(a), t_other(b)
-        if not (vb == 0 or (va < 0) != (vb < 0)):
-            bad = f"T({n},{nu}) shows no sign change over the mu_{n} interval"
-            break
-    out.append(CheckResult("radius.central-root-shared", bad is None, bad or ""))
+    def central_roots():
+        for n in range(4, min(nmax, 12) + 1):
+            nu = n // 2
+            a, b = results[n].isolating_interval
+            t_other = symmetric.t_polynomial(n, nu)
+            va, vb = t_other(a), t_other(b)
+            if not (vb == 0 or (va < 0) != (vb < 0)):
+                yield f"T({n},{nu}) shows no sign change over the mu_{n} interval"
+    out.append(_first_failure("radius.central-root-shared", central_roots()))
 
-    bad = None
-    for n in range(2, 11):
-        brute = core.max_uniform_scale(symmetric.regular_collection(n, 1.0))
-        if abs(results[n].rho - brute) > 1e-8:
-            bad = f"n={n}: scale search {brute!r} vs exact {results[n].rho!r}"
-            break
-    out.append(CheckResult("radius.scale-search-consistency", bad is None, bad or ""))
+    def scale_searches():
+        for n in range(2, 11):
+            brute = core.max_uniform_scale(symmetric.regular_collection(n, 1.0))
+            if abs(results[n].rho - brute) > 1e-8:
+                yield f"n={n}: scale search {brute!r} vs exact {results[n].rho!r}"
+    out.append(_first_failure("radius.scale-search-consistency", scale_searches()))
 
     j11 = radius.bessel_j1_first_zero()
+    trend_ns = (16, 32, 64, 128, 256)
     errors = [abs(n * radius.maximal_radius(n).rho - j11) for n in trend_ns]
     decreasing = all(a > b for a, b in zip(errors, errors[1:]))
     rel_last = errors[-1] / j11
@@ -683,17 +639,16 @@ def triangle_suite(seed: int = 0, samples: int = 10_000) -> list[CheckResult]:
         )
     )
 
-    bad = None
-    for r in [0.1 + 0.05 * k for k in range(32)]:
-        if r * r * 3 >= 3 - 1e-9 and r < 1.0:
-            continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            verdict = triangle.triangle_positive(r, r, r)
-        if verdict != (r < 1.0):
-            bad = f"equal radii r={r}: criterion disagrees with rho_3 = 1"
-            break
-    out.append(CheckResult("triangle.symmetric-reduction", bad is None, bad or ""))
+    def equal_radii():
+        for r in [0.1 + 0.05 * k for k in range(32)]:
+            if r * r * 3 >= 3 - 1e-9 and r < 1.0:
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                verdict = triangle.triangle_positive(r, r, r)
+            if verdict != (r < 1.0):
+                yield f"equal radii r={r}: criterion disagrees with rho_3 = 1"
+    out.append(_first_failure("triangle.symmetric-reduction", equal_radii()))
     return out
 
 

@@ -30,6 +30,22 @@ class TestCriterion:
         with pytest.warns(UserWarning, match="boundary"):
             assert triangle_positive(1.0, 1.0, 1.0) is False
 
+    def test_decided_exactly_inside_the_warning_band(self):
+        # the rounded sum of the squares is 3.0, the exact one is below 3
+        radii = (0.7944001065815915, 0.6812417252050743, 1.3801587526450607)
+        assert sum(Fraction(r) ** 2 for r in radii) < 3
+        with pytest.warns(UserWarning, match="boundary"):
+            assert triangle_positive(*radii) is True
+        rng = random.Random(5)
+        for _ in range(1000):
+            r1, r2 = rng.uniform(0.3, 1.2), rng.uniform(0.3, 1.2)
+            r3 = math.sqrt(3 - r1 * r1 - r2 * r2)
+            for r in (math.nextafter(r3, 0), r3, math.nextafter(r3, 2)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    closed = triangle_positive(r1, r2, r)
+                assert closed == (Fraction(r1) ** 2 + Fraction(r2) ** 2 + Fraction(r) ** 2 < 3)
+
     def test_slightly_smaller_is_positive(self):
         assert triangle_positive(0.9, 0.9, 0.9)
 
