@@ -245,6 +245,9 @@ def cmd_rho(args) -> int:
     if any(n < 2 for n in ns):
         print("error: n must be at least 2", file=sys.stderr)
         return EXIT_USAGE
+    if not 0 < args.precision < math.inf:
+        print(f"error: --precision must be positive and finite, got {args.precision!r}", file=sys.stderr)
+        return EXIT_USAGE
 
     rows = _rho_rows(ns, args.precision)
     if args.limits:

@@ -3,14 +3,16 @@
 Dense polynomials stored as integer numerators over one positive
 denominator, with guaranteed real-root isolation (one Sturm chain of the
 square-free part, multiplicities from Yun's factors, one left-first
-bisection descent for every root query; a generalized chain gives the
-Cauchy index for interlacing), terminating Gauss hypergeometric series,
+bisection descent for every root query, and one exact refinement started
+near a float guess; a generalized chain gives the Cauchy index for
+interlacing), terminating Gauss hypergeometric series,
 Jacobi polynomials with generalized parameters, and the V-polynomial
 family that carries the zero structure of the circulant eigenvalue
 polynomials.
 
-Everything here is exact except the final floating refinement of
-isolated roots.  All objects are immutable and safe to share.
+Everything here is exact except the float guesses, which only choose
+where an exact refinement starts, and the float values reported for
+refined roots.  All objects are immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 __all__ = [
     "RationalPolynomial",
@@ -145,11 +147,7 @@ class RationalPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, RationalPolynomial):
-            out = [0] * max(0, len(self._num) + len(other._num) - 1)
-            for i, a in enumerate(self._num):
-                for j, b in enumerate(other._num):
-                    out[i + j] += a * b
-            return RationalPolynomial._of(out, self._den * other._den)
+            return RationalPolynomial._of(_int_mul(self._num, other._num), self._den * other._den)
         if isinstance(other, (int, Fraction)):
             s = other.numerator
             return RationalPolynomial._of([c * s for c in self._num], self._den * other.denominator)
@@ -186,11 +184,20 @@ class RationalPolynomial:
         return RationalPolynomial._of(_int_deriv(self._num), self._den)
 
     def compose(self, inner: "RationalPolynomial") -> "RationalPolynomial":
-        """Exact polynomial composition self(inner(x))."""
-        acc = RationalPolynomial()
-        for c in reversed(self._num):
-            acc = acc * inner + c
-        return acc * Fraction(1, self._den)
+        """Exact polynomial composition self(inner(x)).
+
+        With self = sum c_k x^k / D and inner = I / E, Horner's rule runs on
+        the integer numerator sum c_k I^k E^(deg-k) over D E^deg, so only
+        the result is brought to canonical form.
+        """
+        if not self._num:
+            return self
+        acc, epow = [self._num[-1]], 1
+        for c in reversed(self._num[:-1]):
+            epow *= inner._den
+            acc = _int_mul(acc, inner._num) or [0]
+            acc[0] += c * epow
+        return RationalPolynomial._of(acc, self._den * epow)
 
     def __divmod__(self, other):
         other = self._coerce(other)
@@ -249,6 +256,15 @@ def _int_primitive(cs):
     """cs divided by its content; cs has no trailing zero."""
     g = math.gcd(*cs)
     return cs if g <= 1 else [c // g for c in cs]
+
+
+def _int_mul(f, g) -> list[int]:
+    """Product of two integer coefficient lists (empty for a zero factor)."""
+    out = [0] * max(0, len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
 
 
 def _int_deriv(cs) -> list[int]:
@@ -388,28 +404,99 @@ def _sign_right_of(cs, a: Fraction) -> int:
     return _sign_at(cs, *a.as_integer_ratio()) or _sign_at(_int_deriv(cs), *a.as_integer_ratio())
 
 
-def _refine_interval(cs, a: Fraction, b: Fraction, width: Fraction):
-    """Shrink (a, b], holding exactly one root of the square-free cs, to <= width.
+def _refine_interval(sign, sa: int, a: Fraction, b: Fraction, width: Fraction, guess: float = math.nan):
+    """Shrink (a, b], holding exactly one root r, to width <= width.
 
-    Returns (lo, hi, root) where root is the exact rational root when b or
-    a bisection point is it, else None.  The bisection keeps integer
-    numerators lo, hi over one denominator that doubles at each step.
+    sign(num, den) is the exact sign at num/den (den > 0) of a function
+    with sign sa on (a, r) and -sa on (r, b], as a square-free polynomial
+    with one root in (a, b] has.  Returns (lo, hi, root) where root is the
+    exact root r when b or a bisection point is it, else None.  The
+    bisection keeps integer numerators lo, hi over one denominator that
+    doubles at each step.
+
+    The result is bit for bit that of plain bisection from (a, b]: cells
+    of the dyadic grid of (a, b], split at their midpoints down to the
+    depth d where they reach the width, or until a midpoint is r.  The
+    float guess only chooses where the bisection starts.  At a depth
+    k <= d, the grid cell (lo, hi] holding the guess certifies when its
+    lower end is a or has sign sa, and its upper end has sign -sa.  Then
+    lo < r < hi, so r is no grid point of depth <= k.  Plain bisection
+    meets only such grid points as midpoints before depth k, so it holds
+    this very cell at depth k, with no hit on the way, and bisecting on
+    from it repeats it step for step.  A root on a grid point of depth k
+    zeroes the sign at an end of every depth-k cell it bounds, so no such
+    cell certifies; the start is then coarser (at worst (a, b] itself),
+    and the bisection meets r as a midpoint at the same depth as plain
+    bisection does.  Depths d, d - 1, d - 2, d - 4, ... are tried, so a
+    guess that is NaN, infinite or far off costs a few sign evaluations
+    and never changes the result.
     """
-    if _sign_at(cs, *b.as_integer_ratio()) == 0:
+    if sign(*b.as_integer_ratio()) == 0:
         return max(a, b - width / 2), b, b
-    sa = _sign_right_of(cs, a)
     den = math.lcm(a.denominator, b.denominator)
     lo, hi = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
-    span = (hi - lo) * width.denominator
-    while span > width.numerator * den:
+    step = hi - lo
+    depth = 0
+    while step * width.denominator > (width.numerator * den) << depth:
+        depth += 1
+    start = 0
+    if math.isfinite(guess):
+        gn, gd = guess.as_integer_ratio()
+        gap = 0
+        while (k := depth - gap) > 0:
+            j = min(max(((gn * den - lo * gd) << k) // (gd * step), 0), (1 << k) - 1)
+            cell_lo = (lo << k) + j * step
+            if (j == 0 or sign(cell_lo, den << k) == sa) and sign(cell_lo + step, den << k) == -sa:
+                lo, hi, den, start = cell_lo, cell_lo + step, den << k, k
+                break
+            gap = 2 * gap or 1
+    for _ in range(start, depth):
         mid = lo + hi
         lo, hi, den = 2 * lo, 2 * hi, 2 * den
-        sm = _sign_at(cs, mid, den)
+        sm = sign(mid, den)
         if sm == 0:
             root = Fraction(mid, den)
             return max(Fraction(lo, den), root - width / 2), root, root
         lo, hi = (mid, hi) if sm == sa else (lo, mid)
     return Fraction(lo, den), Fraction(hi, den), None
+
+
+def _newton_guess(cs, sa: int, a: Fraction, b: Fraction) -> float:
+    """Float root of the integer polynomial cs in (a, b], where it has one
+    root and sign sa just right of a: Newton's method, falling back to
+    bisection of its float bracket whenever a step would leave it, and
+    stopping once |cs(x)| is within the rounding bound of Horner's rule
+    (deg * eps * sum |c_i| |x|^i).  NaN when float arithmetic overflows;
+    only a start for _refine_interval."""
+    try:
+        top = max(map(abs, cs))
+        fs = [c / top for c in reversed(cs)]
+        lo, hi = float(a), float(b)
+    except OverflowError:
+        return math.nan
+    noise = len(fs) * math.ulp(1.0)
+    x = 0.5 * (lo + hi)
+    for _ in range(100):
+        f = df = bound = 0.0
+        for c in fs:
+            df = df * x + f
+            f = f * x + c
+            bound = bound * abs(x) + abs(c)
+        if not (math.isfinite(f) and math.isfinite(df)):
+            return math.nan
+        if abs(f) <= noise * bound:
+            return x
+        if (f > 0) == (sa > 0):
+            lo = x
+        else:
+            hi = x
+        nx = x - f / df if df else lo
+        if not lo < nx < hi:
+            nx = 0.5 * (lo + hi)
+        if nx == x:
+            break
+        x = nx
+    return x
 
 
 def _isolate_on(p: RationalPolynomial, lo: Fraction, hi: Fraction, width: Fraction):
@@ -422,11 +509,18 @@ def _isolate_on(p: RationalPolynomial, lo: Fraction, hi: Fraction, width: Fracti
     (lo, hi]: a node is split while it holds two or more distinct roots,
     so the intervals are disjoint by construction.  The one Yun factor
     whose sign differs just right of a and at b has the root; it gives the
-    multiplicity and refines the interval.
+    multiplicity and refines the interval, started from a float Newton
+    guess.  When the chain of p itself ends in a constant, gcd(p, p') = 1:
+    p is its own square-free part (up to a constant factor, which changes
+    no variation count) and its only Yun factor, so Yun's gcd is skipped.
     """
-    yun = squarefree_decomposition(p)
-    square_free = math.prod((f for f, _ in yun), start=RationalPolynomial([1]))
-    chain = _sturm_chain(square_free._num)
+    chain = _sturm_chain(p._num)
+    if len(chain[-1]) == 1:
+        yun = [(p, 1)]
+    else:
+        yun = squarefree_decomposition(p)
+        square_free = math.prod((f for f, _ in yun), start=RationalPolynomial([1]))
+        chain = _sturm_chain(square_free._num)
     stack = [(lo, _variations_at(chain, lo), hi, _variations_at(chain, hi))]
     while stack:
         a, va, b, vb = stack.pop()
@@ -435,19 +529,14 @@ def _isolate_on(p: RationalPolynomial, lo: Fraction, hi: Fraction, width: Fracti
             vm = _variations_at(chain, mid)
             stack += [(mid, vm, b, vb), (a, va, mid, vm)]
         elif va - vb == 1:
-            cs, mult = next(
-                (f._num, m)
+            cs, mult, sa, sb = next(
+                (f._num, m, sa, sb)
                 for f, m in yun
-                if _sign_at(f._num, *b.as_integer_ratio()) != _sign_right_of(f._num, a)
+                for sa, sb in [(_sign_right_of(f._num, a), _sign_at(f._num, *b.as_integer_ratio()))]
+                if sb != sa
             )
-            yield *_refine_interval(cs, a, b, width), mult
-
-
-def _smallest_root(p: RationalPolynomial, lo: Fraction, hi: Fraction, width: Fraction):
-    """Interval (a, b] of width <= width around the smallest root of p in
-    (lo, hi], or None when there is none: the first that _isolate_on
-    yields, so only that root is refined."""
-    return next(((a, b) for a, b, _, _ in _isolate_on(p, lo, hi, width)), None)
+            guess = _newton_guess(cs, sa, a, b) if sb else math.nan  # a root at b needs no search
+            yield *_refine_interval(partial(_sign_at, cs), sa, a, b, width, guess), mult
 
 
 def isolate_real_roots(p: RationalPolynomial, bounds=None, precision: float = 1e-9) -> RootIsolation:
@@ -460,8 +549,8 @@ def isolate_real_roots(p: RationalPolynomial, bounds=None, precision: float = 1e
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
-    if precision <= 0:
-        raise ValueError("precision must be positive")
+    if not 0 < precision < math.inf:
+        raise ValueError("precision must be positive and finite")
     bound = _cauchy_bound(p) if p.degree > 0 else Fraction(1)
     lo, hi = (None, None) if bounds is None else bounds
     lo = -bound if lo is None else Fraction(lo)
@@ -502,12 +591,20 @@ def hypergeometric_polynomial(a: int, b, c) -> RationalPolynomial:
             f"Pochhammer denominator (c)_k vanishes at k={1 - int(c)} "
             f"before the series terminates at k={stop}"
         )
-    coeffs = [Fraction(1)]
-    term = Fraction(1)
-    for k in range(1, stop + 1):
-        term *= (a + k - 1) * (b + k - 1) / (Fraction(k) * (c + k - 1))
-        coeffs.append(term)
-    return RationalPolynomial(coeffs)
+    # term k is the product over i < k of (a+i)(b+i) / ((i+1)(c+i)); with
+    # b = bn/bd and c = cn/cd each factor is num_i / den_i in integers, and
+    # term k over the common denominator den_0 ... den_(stop-1) has the
+    # numerator num_0 ... num_(k-1) den_k ... den_(stop-1)
+    bn, bd = b.as_integer_ratio()
+    cn, cd = c.as_integer_ratio()
+    num = [1]
+    for i in range(stop):
+        num.append(num[-1] * (a + i) * (bn + i * bd) * cd)
+    den = 1
+    for i in reversed(range(stop)):
+        den *= (i + 1) * (cn + i * cd) * bd
+        num[i] *= den
+    return RationalPolynomial._of(num, den)
 
 
 def _reversed_hypergeometric_polynomial(a: int, b, c, degree: int) -> RationalPolynomial:

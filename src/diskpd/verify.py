@@ -338,7 +338,7 @@ def _companion_real_roots(coeffs) -> list[tuple[float, int]]:
     for cluster in clusters:
         centroid = sum(cluster) / len(cluster)
         if abs(centroid.imag) < 1e-6:
-            out.append((centroid.real, len(cluster)))
+            out.append((float(centroid.real), len(cluster)))
     out.sort()
     return out
 
@@ -520,14 +520,19 @@ def radius_suite(nmax: int = 64) -> list[CheckResult]:
                 yield f"rho_{n} <= sin(pi/{n})"
     out.append(_first_failure("radius.overlap-above-one", overlaps()))
 
+    # the interval comes from the Jacobi recurrence; the hypergeometric
+    # central polynomial and T_{n,nu} are independent oracles for it
     def central_roots():
-        for n in range(4, min(nmax, 12) + 1):
+        for n in range(4, min(nmax, 64) + 1):
             nu = n // 2
             a, b = results[n].isolating_interval
-            t_other = symmetric.t_polynomial(n, nu)
-            va, vb = t_other(a), t_other(b)
-            if not (vb == 0 or (va < 0) != (vb < 0)):
-                yield f"T({n},{nu}) shows no sign change over the mu_{n} interval"
+            oracles = [(f"the central polynomial of n={n}", radius.central_polynomial(n))]
+            if n <= 12:
+                oracles.append((f"T({n},{nu})", symmetric.t_polynomial(n, nu)))
+            for label, poly in oracles:
+                va, vb = poly(a), poly(b)
+                if not (vb == 0 or (va < 0) != (vb < 0)):
+                    yield f"{label} shows no sign change over the mu_{n} interval"
     out.append(_first_failure("radius.central-root-shared", central_roots()))
 
     def scale_searches():

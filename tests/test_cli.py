@@ -276,6 +276,13 @@ class TestRhoCommand:
         code, _, err = run(["rho", "--n-range", "nope"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("precision", ["nan", "inf", "0", "1e-400", "-1"])
+    def test_bad_precision_exits_two(self, capsys, precision):
+        code, out, err = run(["rho", "--n", "8", "--precision", precision], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --precision must be positive and finite")
+
 
 class TestVerifyCommand:
     def test_triangle_suite_passes(self, capsys):
@@ -334,7 +341,7 @@ class TestVerifyCommand:
         assert code == 1
         assert out.count("\nFAIL ") == 16
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "7effcfe7c5deace35c9c034a3b0ce97b27f98395a2f74787aee831bf1634717a"
+        assert digest == "1c40d6e663a80ac4a02d64a44aff95c6f2ec118b9beb77deb7f6cb787b630cc4"
 
     def test_golden_exact_check(self, capsys, monkeypatch):
         # exact minors print in full, so any change to the exact build or

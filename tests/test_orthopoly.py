@@ -15,13 +15,13 @@ from diskpd.orthopoly import (
     jacobi_polynomial,
     pochhammer,
     _reversed_hypergeometric_polynomial,
-    _smallest_root,
     squarefree_decomposition,
     v_identity_suite,
     v_polynomial,
     zero_structure_check,
 )
-from diskpd.radius import central_polynomial
+from diskpd import radius
+from diskpd.radius import central_polynomial, maximal_radius
 from diskpd.symmetric import t_polynomial
 
 fractions = st.fractions(max_denominator=50)
@@ -308,6 +308,11 @@ class TestRootIsolation:
         with pytest.raises(ValueError):
             isolate_real_roots(RationalPolynomial([1, 1]), (0, 1), 0.0)
 
+    @pytest.mark.parametrize("precision", [-1.0, math.nan, math.inf, 1e-400], ids=["-1", "nan", "inf", "1e-400"])
+    def test_precision_must_be_positive_and_finite(self, precision):
+        with pytest.raises(ValueError, match="positive and finite"):
+            isolate_real_roots(RationalPolynomial([1, 1]), (0, 1), precision)
+
     def test_factors_closer_than_the_precision(self):
         root = Fraction(1, 3)
         near = root + Fraction(1, 10**11)
@@ -414,40 +419,58 @@ def _poly_with_roots(*roots):
 
 
 class TestSmallestRoot:
-    WIDTH = Fraction(1e-13)
+    """maximal_radius takes mu_n from the Jacobi recurrence; the smallest root
+    in (-1, 0] that isolate_real_roots finds for the central polynomial is
+    its oracle, down to the bits of the interval."""
 
-    @pytest.mark.parametrize("n", [*range(4, 65), 128])
+    @pytest.mark.parametrize("n", [*range(4, 65), 128, 256, 300])
     def test_first_isolated_interval_of_the_central_polynomial(self, n):
-        poly = _reduced_central(n)
-        bounds = (Fraction(-1), Fraction(0))
-        first = isolate_real_roots(poly, bounds, 1e-13).intervals[0][:2]
-        assert _smallest_root(poly, *bounds, self.WIDTH) == first
-        # the root -1 lies outside (-1, 0], so dividing out z + 1 changes nothing
-        assert _smallest_root(central_polynomial(n), *bounds, self.WIDTH) == first
+        first = isolate_real_roots(central_polynomial(n), (-1, 0), 1e-13).intervals[0][:2]
+        assert maximal_radius(n).isolating_interval == first
+        if n <= 64:
+            # the root -1 lies outside (-1, 0], so dividing out z + 1 changes nothing
+            assert isolate_real_roots(_reduced_central(n), (-1, 0), 1e-13).intervals[0][:2] == first
 
     @pytest.mark.parametrize("root", [Fraction(-1, 2), Fraction(-3, 4)])
     def test_root_on_a_bisection_point(self, root):
         p = _poly_with_roots(root, Fraction(-1, 8), Fraction(1, 3))
-        a, b = _smallest_root(p, Fraction(-1), Fraction(0), self.WIDTH)
-        assert a < root <= b and b - a <= self.WIDTH
-        first = isolate_real_roots(p, (-1, 0), 1e-13).intervals[0][:2]
-        assert (a, b) == first
+        iso = isolate_real_roots(p, (-1, 0), 1e-13)
+        a, b, mult = iso.intervals[0]
+        assert a < root == b and b - a <= Fraction(1e-13) and mult == 1
+        assert iso.refined[0] == root
 
     def test_root_at_the_included_upper_end(self):
         p = _poly_with_roots(0, 1, -2)
-        a, b = _smallest_root(p, Fraction(-1), Fraction(0), self.WIDTH)
-        assert a < 0 == b and b - a <= self.WIDTH
+        (a, b, mult), = isolate_real_roots(p, (-1, 0), 1e-13).intervals
+        assert a < 0 == b and b - a <= Fraction(1e-13) and mult == 1
 
     def test_no_root_in_range(self):
-        assert _smallest_root(RationalPolynomial([1, 0, 1]), Fraction(-1), Fraction(0), self.WIDTH) is None
+        assert isolate_real_roots(RationalPolynomial([1, 0, 1]), (-1, 0), 1e-13).intervals == ()
         # -1 is outside the half-open range (-1, 0], 1 beyond it
-        assert _smallest_root(_poly_with_roots(-1, 1), Fraction(-1), Fraction(0), self.WIDTH) is None
+        assert isolate_real_roots(_poly_with_roots(-1, 1), (-1, 0), 1e-13).intervals == ()
 
     def test_repeated_smallest_root(self):
         root = Fraction(-1, 3)
         p = _poly_with_roots(root, root, Fraction(-1, 5))
-        a, b = _smallest_root(p, Fraction(-1), Fraction(0), self.WIDTH)
-        assert a < root <= b and b - a <= self.WIDTH
+        a, b, mult = isolate_real_roots(p, (-1, 0), 1e-13).intervals[0]
+        assert a < root <= b and b - a <= Fraction(1e-13) and mult == 2
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e300, -5.0, 0.25])
+    def test_guess_never_changes_an_interval(self, bad, monkeypatch):
+        ns = [*range(4, 41), 64, 128]
+        polys = [
+            _poly_with_roots(Fraction(-1, 2), Fraction(-3, 4), Fraction(1, 3), Fraction(2, 7)),
+            _poly_with_roots(Fraction(-1, 3), Fraction(-1, 3), Fraction(-1, 5), Fraction(1, 5)),
+            v_polynomial(12, 6),
+            _reduced_central(24),
+        ]
+        bounds = [(-1, 1), (-1, 1), (1, 40), (-1, 0)]
+        plain_radii = [maximal_radius.__wrapped__(n).isolating_interval for n in ns]
+        plain_isolations = [isolate_real_roots(p, b, 1e-12) for p, b in zip(polys, bounds)]
+        monkeypatch.setattr(radius, "_smallest_zero_guess", lambda recurrence, n: bad)
+        monkeypatch.setattr(orthopoly, "_newton_guess", lambda cs, sa, a, b: bad)
+        assert [maximal_radius.__wrapped__(n).isolating_interval for n in ns] == plain_radii
+        assert [isolate_real_roots(p, b, 1e-12) for p, b in zip(polys, bounds)] == plain_isolations
 
 
 class TestZeroStructure:

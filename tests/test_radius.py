@@ -60,6 +60,11 @@ class TestMaximalRadius:
         with pytest.raises(ValueError):
             maximal_radius(6, precision=0.0)
 
+    @pytest.mark.parametrize("precision", [-1.0, math.nan, math.inf, 1e-400], ids=["-1", "nan", "inf", "1e-400"])
+    def test_precision_must_be_positive_and_finite(self, precision):
+        with pytest.raises(ValueError, match="positive and finite"):
+            maximal_radius(8, precision)
+
 
 class TestCentralPolynomial:
     @pytest.mark.parametrize("n", range(4, 14))
