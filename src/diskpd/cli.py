@@ -136,6 +136,9 @@ def _certificate_payload(report) -> dict:
 
 
 def cmd_check(args) -> int:
+    if not 0 < args.tol < math.inf:
+        print(f"error: --tol must be positive and finite, got {args.tol!r}", file=sys.stderr)
+        return EXIT_USAGE
     if args.input == "-":
         text = sys.stdin.read()
     else:

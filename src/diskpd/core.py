@@ -745,8 +745,8 @@ def is_positive_definite(m: HermitianMatrix, mode: str = "floating", tol: float 
     den * Q (see HermitianMatrix), which a zero minor ends; needs Gaussian
     rational entries.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     if mode == "exact":
         if not m.is_exact:
             raise ValueError("exact mode requires a matrix with rational entries")
@@ -779,8 +779,8 @@ def max_uniform_scale(c: DiskCollection, tol: float = 1e-12) -> float:
     deciding every midpoint gives.  Without a sign change of the margin, a
     non-finite E or a failed proof at an end, every midpoint is decided.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     if c.n == 1:
         return math.inf
     latest = {}  # side -> (s, Q): the latest build at a scale on that side

@@ -696,11 +696,9 @@ def v_identity_suite(n: int) -> list[IdentityCheck]:
         rhs = (n + 1 - m) * (m - 1) * v_polynomial(n, m - 1)
         checks.append(IdentityCheck("recurrence", m, lowered == rhs))
     for m in range(1, n):
-        vm = v_polynomial(n, m)
-        bridged = RationalPolynomial()
-        for j, coeff in enumerate(vm.coefficients):
-            bridged = bridged + coeff * one_plus_z ** (m - j)
-        bridged = (-1) ** (n - m) * n * n * bridged
+        # sum_j c_j (1+z)^(m-j) is V = sum_j c_j x^j (degree m-1) reversed to degree m, at 1+z
+        reversed_v = RationalPolynomial([0, *reversed(v_polynomial(n, m).coefficients)])
+        bridged = (-1) ** (n - m) * n * n * reversed_v.compose(one_plus_z)
         t = symmetric.t_polynomial(n, m)
         if n - 2 * m >= 0:
             ok = t == RationalPolynomial.monomial(n - 2 * m) * bridged

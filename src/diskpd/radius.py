@@ -242,8 +242,8 @@ def bessel_j1(x: float) -> float:
 
 def bessel_j1_first_zero(precision: float = 1e-13) -> float:
     """First positive zero of J_1 (3.831706...), by sign bisection on [3, 4.5]."""
-    if precision <= 0:
-        raise ValueError("precision must be positive")
+    if not 0 < precision < math.inf:
+        raise ValueError("precision must be positive and finite")
     lo, hi = 3.0, 4.5
     flo = bessel_j1(lo)
     while hi - lo > precision:

@@ -77,60 +77,62 @@ def t_polynomial(n: int, m: int) -> RationalPolynomial:
 def a_matrix(n: int, z: float) -> HermitianMatrix:
     """The matrix A(z) with entries prod_k (w^(i-j) - w^(k-j) - w^(i-k) - z).
 
-    Built by direct products over floating roots of unity w = exp(2 pi i/n).
-    The result equals -Q(sqrt(1+z)) for the regular collection and is
-    circulant; the circulant structure is asserted to 1e-10 relative.
+    Built by one array product over floating roots of unity w = exp(2 pi
+    i/n), with every entry of the upper triangle computed on its own from
+    its index formula; the lower triangle is its conjugate and the diagonal
+    is real, so A is exactly Hermitian.  The result equals -Q(sqrt(1+z))
+    for the regular collection and is circulant; since no entry is copied
+    from another row, asserting that structure to 1e-10 relative guards
+    the index formula.  Non-finite and overflowing products raise no numpy
+    warning; a NaN entry raises ValueError from HermitianMatrix.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     if z < -1:
         raise ValueError("need z >= -1")
-    w = _roots_of_unity(n)
-    rows = [[0j] * n for _ in range(n)]
-    scale = 0.0
-    for i in range(n):
-        for j in range(i, n):
-            prod = 1 + 0j
-            for k in range(n):
-                prod *= w[(i - j) % n] - w[(k - j) % n] - w[(i - k) % n] - z
-            if i == j:
-                rows[i][i] = complex(prod.real, 0.0)
-            else:
-                rows[i][j] = prod
-                rows[j][i] = prod.conjugate()
-            scale = max(scale, abs(prod))
-    for i in range(1, n):
-        for j in range(n):
-            if abs(rows[i][j] - rows[i - 1][(j - 1) % n]) > _CIRCULANT_RTOL * max(scale, 1.0):
-                raise ArithmeticError(
-                    f"matrix is not circulant at row {i}, column {j}"
-                )
-    return HermitianMatrix(rows)
+    index = np.arange(n)
+    diff = np.subtract.outer(index, index)  # i - j
+    shift = np.array(_roots_of_unity(n))[diff % n]  # w^(i-j)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.prod(shift[:, :, None] - shift.T[None, :, :] - shift[:, None, :] - float(z), axis=2)
+        a[diff > 0] = a.T[diff > 0].conj()
+        a.imag[diff == 0] = 0.0
+        # row i against row i-1 shifted right by one
+        bad = np.abs(a[1:] - a[:-1, index - 1]) > _CIRCULANT_RTOL * max(np.abs(a).max(), 1.0)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ArithmeticError(f"matrix is not circulant at row {i + 1}, column {j}")
+    return HermitianMatrix(a.tolist())
 
 
 def circulant_spectrum(n: int, z, check: bool = True) -> list[float]:
     """[T_{n,1}(z), ..., T_{n,n}(z)], the eigenvalues of A(z).
 
     Values come from the exact polynomials (evaluated exactly for rational
-    z, in floating point otherwise).  With check=True the alternative
-    direct computation sum_j w^(m j) A_{1,j+1}(z) is formed from the
-    floating first row and its imaginary residue is asserted below 1e-9
-    relative to the row scale.
+    z, in floating point otherwise; a float z must be finite).  With
+    check=True the alternative direct computation sum_j w^(m j) A_{1,j+1}(z)
+    is formed for every m as one matrix-vector product on the floating
+    first row of a_matrix, whose entries are computed independently, and
+    its imaginary residue is asserted below 1e-9 relative to the row scale.
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    if isinstance(z, float) and not math.isfinite(z):
+        raise ValueError(f"z must be finite, got {z!r}")
     zq = Fraction(z) if isinstance(z, (int, Fraction)) else z
     values = [float(t_polynomial(n, m)(zq)) for m in range(1, n + 1)]
     if check:
-        w = _roots_of_unity(n)
-        first_row = a_matrix(n, float(z)).rows[0]
-        scale = max(1.0, max(abs(a) for a in first_row))
-        for m in range(1, n + 1):
-            s = sum(w[(m * j) % n] * first_row[j] for j in range(n))
-            if abs(s.imag) > 1e-9 * scale:
-                raise ArithmeticError(
-                    f"direct eigenvalue sum for m={m} has imaginary residue {s.imag:.3e}"
-                )
+        w = np.array(_roots_of_unity(n))
+        first_row = np.array(a_matrix(n, float(z)).rows[0])
+        scale = max(1.0, np.abs(first_row).max())
+        with np.errstate(invalid="ignore"):  # an overflowed row sums inf - inf
+            residue = (w[np.outer(np.arange(1, n + 1), np.arange(n)) % n] @ first_row).imag
+        bad = np.abs(residue) > 1e-9 * scale
+        if bad.any():
+            m = int(bad.argmax()) + 1
+            raise ArithmeticError(
+                f"direct eigenvalue sum for m={m} has imaginary residue {residue[m - 1]:.3e}"
+            )
     return values
 
 

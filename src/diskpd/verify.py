@@ -257,14 +257,8 @@ def symmetric_suite(nmax: int = 12, seed: int = 0) -> list[CheckResult]:
                 if min(abs(t) for t in tv) < 1e-6 * max(scale, 1.0):
                     continue  # too close to a determinant zero for a ratio
                 sgn, logdet = np.linalg.slogdet(symmetric.a_matrix(n, z).to_numpy())
-                t_sign = 1
-                t_log = 0.0
-                for t in tv:
-                    t_sign *= 1 if t > 0 else -1
-                    t_log += math.log(abs(t))
-                if (1 if sgn.real > 0 else -1) != t_sign or abs(logdet - t_log) > 1e-7 * max(
-                    1.0, abs(t_log)
-                ):
+                t_sign, t_log = np.prod(np.sign(tv)), np.log(np.abs(tv)).sum()
+                if (1 if sgn.real > 0 else -1) != t_sign or abs(logdet - t_log) > 1e-7 * max(1.0, abs(t_log)):
                     yield f"n={n}, z={z:.6f}: det A != prod T"
     out.append(_first_failure("symmetric.product-identity", determinants()))
 

@@ -222,6 +222,16 @@ class TestCheckCommand:
         code, out, _ = run(["check", "-"], capsys)
         assert code == 0 and "not-positive-definite" in out
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "1e-400", "-1"])
+    def test_bad_tol_exits_two(self, capsys, monkeypatch, tol):
+        # with --tol nan two overlapping disks were certified positive-definite
+        doc = json.dumps({"disks": [{"center": [0, 0], "radius": 1.5}, {"center": [2, 0], "radius": 1.5}]})
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        code, out, err = run(["check", "-", "--tol", tol], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --tol must be positive and finite")
+
 
 class TestRhoCommand:
     def test_golden_column(self, capsys):
@@ -296,6 +306,8 @@ class TestVerifyCommand:
         goldens = {
             "0": "350066330514644e4919ad9c474e7ed71779a7c5e1e9cee7d01a4088500dcc08",
             "1": "c849ef7cab6ea4b0dcf514cd79e1f090befd94f0d6ef498a935bafc2bfe4d0c7",
+            "2": "5614d15394dc9a3350473c12f3349956b228fc09d14ccb51629c5e8f477176a8",
+            "3": "02ee0a042ef097880dcce5feace326445ff5a79eac0ac38cd4dc1f73cbf11bbc",
         }
         for seed, want in goldens.items():
             code, out, _ = run(["verify", "--suite", "all", "--seed", seed], capsys)

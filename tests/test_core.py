@@ -513,6 +513,14 @@ class TestPositivity:
         with pytest.raises(ValueError):
             is_positive_definite(m, mode="bogus")
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("mode", ["floating", "exact"])
+    def test_tolerance_must_be_positive_and_finite(self, tol, mode):
+        # a NaN tol made NaN pivots and certified r = 0.6 > rho_8 = 0.4608
+        q = build_q_matrix(regular_collection(8, 0.6) if mode == "floating" else DiskCollection([0, 2], [1, 1]))
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            is_positive_definite(q, mode=mode, tol=tol)
+
     def test_exact_mode_minors(self):
         q = build_q_matrix(DiskCollection([0, 2], [1, 1]))
         report = is_positive_definite(q, mode="exact")
@@ -873,6 +881,12 @@ class TestMaxUniformScale:
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
             max_uniform_scale(DiskCollection([0, 2], [1, 1]), tol=-1)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "0", "-1"])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        # a NaN tol used to end in "radius 0 is not finite as a double"
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            max_uniform_scale(DiskCollection([0, 2], [1, 1]), tol=tol)
 
     def test_scale_far_above_one_terminates(self):
         # the bisection midpoint stops falling strictly between adjacent doubles

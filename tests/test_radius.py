@@ -134,6 +134,11 @@ class TestBesselZero:
         with pytest.raises(ValueError):
             bessel_j1_first_zero(precision=-1.0)
 
+    @pytest.mark.parametrize("precision", [-1.0, 0.0, math.nan, math.inf], ids=["-1", "0", "nan", "inf"])
+    def test_precision_must_be_positive_and_finite(self, precision):
+        with pytest.raises(ValueError, match="positive and finite"):
+            bessel_j1_first_zero(precision)
+
 
 class TestAsymptoticReport:
     def test_small_overlap_coefficients(self):

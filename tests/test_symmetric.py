@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -91,6 +92,14 @@ class TestAMatrix:
         with pytest.raises(ValueError):
             a_matrix(4, -1.5)
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf, 1e200], ids=["nan", "inf", "1e200"])
+    def test_nonfinite_entries_raise_without_a_warning(self, z):
+        # a NaN product is named by the Hermitian scan, not by a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="NaN"):
+                a_matrix(4, z)
+
 
 class TestCirculantSpectrum:
     def test_frozen_two_disk_values(self):
@@ -107,6 +116,16 @@ class TestCirculantSpectrum:
     def test_imaginary_residue_check_runs(self):
         # the direct-sum cross check is on by default and must stay silent
         circulant_spectrum(7, 0.55, check=True)
+
+    def test_overflowing_first_row_is_checked_without_a_warning(self):
+        # A(1e100) has infinite entries; the values come from T alone
+        assert circulant_spectrum(4, 1e100) == circulant_spectrum(4, 1e100, check=False)
+
+    @pytest.mark.parametrize("check", [False, True])
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_nonfinite_z_raises(self, z, check):
+        with pytest.raises(ValueError):
+            circulant_spectrum(4, z, check=check)
 
 
 class TestPositivityByT:
