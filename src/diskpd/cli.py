@@ -50,6 +50,12 @@ def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
+def _json_number(x: float) -> float | None:
+    """x to the 12 digits that text output prints, or null where x is not
+    finite: JSON has no inf."""
+    return float(_fmt(x)) if math.isfinite(x) else None
+
+
 def _parse_component(value, where: str):
     """A JSON number, or a string like "3/4" for exact rational input."""
     if isinstance(value, bool):
@@ -185,13 +191,13 @@ def cmd_check(args) -> int:
             "n": collection.n,
             "exact_input": collection.is_exact,
             "admissible": admissible,
-            "beta": None if beta is None else float(_fmt(beta)),
+            "beta": None if beta is None else _json_number(beta),
             "mode": mode,
             "verdict": report.verdict.value,
             "certificate": _certificate_payload(report),
         }
         if scale is not None:
-            payload["max_uniform_scale"] = float(_fmt(scale))
+            payload["max_uniform_scale"] = _json_number(scale)
         print(json.dumps(payload, sort_keys=True))
     else:
         print(f"disks:       {collection.n} (exact input: {'yes' if collection.is_exact else 'no'})")
@@ -303,53 +309,81 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="diskpd",
-        description="Positive definiteness of disk collections and maximal n-gon radii",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_check = sub.add_parser("check", help="check a JSON disk collection")
-    p_check.add_argument("input", help="path to a JSON document, or - for stdin")
-    p_check.add_argument(
+def _check_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("input", help="path to a JSON document, or - for stdin")
+    p.add_argument(
         "--mode",
         choices=("auto", "floating", "exact"),
         default="auto",
         help="decision arithmetic (auto: exact when the input is rational)",
     )
-    p_check.add_argument("--tol", type=float, default=1e-10, help="floating pivot tolerance")
-    p_check.add_argument(
+    p.add_argument("--tol", type=float, default=1e-10, help="floating pivot tolerance")
+    p.add_argument(
         "--scale", action="store_true", help="also compute the maximal uniform radius scale"
     )
-    p_check.add_argument(
+    p.add_argument(
         "--strict-admissible",
         action="store_true",
         help="reject non-admissible collections with exit code 3",
     )
-    p_check.add_argument("--format", choices=("text", "json"), default="text")
-    p_check.set_defaults(func=cmd_check)
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.set_defaults(func=cmd_check)
 
-    p_rho = sub.add_parser("rho", help="maximal radius table")
-    group = p_rho.add_mutually_exclusive_group(required=True)
+
+def _rho_arguments(p: argparse.ArgumentParser) -> None:
+    group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=int, help="single n")
     group.add_argument("--n-range", help="inclusive range LO:HI")
-    p_rho.add_argument("--precision", type=float, default=1e-13)
-    p_rho.add_argument("--csv", action="store_true", help="emit CSV instead of a table")
-    p_rho.add_argument(
+    p.add_argument("--precision", type=float, default=1e-13)
+    p.add_argument("--csv", action="store_true", help="emit CSV instead of a table")
+    p.add_argument(
         "--limits", action="store_true", help="append the Bessel-zero limit row"
     )
-    p_rho.set_defaults(func=cmd_rho)
+    p.set_defaults(func=cmd_rho)
 
-    p_verify = sub.add_parser("verify", help="run verification suites")
-    p_verify.add_argument(
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
         "--suite",
         choices=tuple(verify.SUITES) + ("all",),
         default="all",
     )
-    p_verify.add_argument("--nmax", type=int, default=None, help="cap the symmetric/orthopoly/radius ranges")
-    p_verify.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    p_verify.set_defaults(func=cmd_verify)
+    p.add_argument("--nmax", type=int, default=None, help="cap the symmetric/orthopoly/radius ranges")
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+    p.set_defaults(func=cmd_verify)
+
+
+class _DeferredParser:
+    """A subcommand's parser, built with its arguments only when argparse
+    hands it the rest of the command line: parse_known_args is all that
+    argparse asks of a subparser, and the top-level help and usage name a
+    subcommand by its help line alone."""
+
+    def __init__(self, arguments, **kwargs) -> None:
+        self.arguments = arguments
+        self.kwargs = kwargs  # what argparse passes to a subparser: prog, and more in later Pythons
+
+    def parse_known_args(self, args=None, namespace=None):
+        parser = argparse.ArgumentParser(**self.kwargs)
+        self.arguments(parser)
+        return parser.parse_known_args(args, namespace)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The diskpd parser.  Each subcommand's own parser and arguments are
+    built only when that subcommand runs, so a call pays for one of them."""
+    parser = argparse.ArgumentParser(
+        prog="diskpd",
+        description="Positive definiteness of disk collections and maximal n-gon radii",
+    )
+    # prog is the prefix of each subcommand's prog, which argparse would
+    # otherwise find by formatting a usage line
+    sub = parser.add_subparsers(
+        dest="command", required=True, prog=parser.prog, parser_class=_DeferredParser
+    )
+    sub.add_parser("check", help="check a JSON disk collection", arguments=_check_arguments)
+    sub.add_parser("rho", help="maximal radius table", arguments=_rho_arguments)
+    sub.add_parser("verify", help="run verification suites", arguments=_verify_arguments)
     return parser
 
 

@@ -43,6 +43,7 @@ _ETA = 2.0**-1074  # smallest subnormal: twice the underflow error of one operat
 #: the rounding of that evaluation for any order n below 10^12.
 _SLACK = 1.01
 _TOL = 1e-10  # default width of the band of floating decisions
+_CHUNK = 2**14  # complex entries of the rank-2 factors that one stacked product forms
 
 
 @dataclass(frozen=True)
@@ -405,7 +406,11 @@ def _equilibrated(a: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     F_kij = w_ki conj(w_kj) - t_ki t_kj: F_k = P_k J P_k^H with the n x 2
     matrix P_k = [w_k, t_k] and J = diag(1, -1), one matrix product per k.
     E = -prod_k F_k entrywise, and E* = D^-1 Q D^-1 with D_i = prod_k s_ik
-    for any s_ik > 0, so the s_ik need no accuracy.
+    for any s_ik > 0, so the s_ik need no accuracy.  The products are
+    batched: one stacked product forms the factors of a chunk of k, about
+    _CHUNK entries (each slice the same BLAS product on the same layout as
+    a product of its own), and E is multiplied by them in the order of k,
+    so the chunk size changes no bit.
 
     Error bound.  Standard model, u = 2^-53, h = 2^-1075 (underflow):
     fl(x op y) = (x op y)(1 + d) + e, |d| <= u, |e| <= h, e = 0 for + and -.
@@ -471,17 +476,22 @@ def _equilibrated(a: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     del w, s, t, c
 
     e = np.ones((b, n, n), dtype=complex)
-    f = np.empty_like(e)
+    chunk = max(1, _CHUNK // (b * n * n))
+    f = np.empty((chunk, b, n, n), dtype=complex)  # f[j] is laid out as e
+    out = f.swapaxes(0, 1)
     sign = np.array([1.0, -1.0])
-    for k in range(n):
-        p = pairs[:, k]
-        e *= np.matmul(p * sign, p.conj().swapaxes(1, 2), out=f)
+    for k in range(0, n, chunk):
+        p = pairs[:, k : k + chunk]
+        m = min(chunk, n - k)
+        np.matmul(p * sign, p.conj().swapaxes(2, 3), out=out[:, :m])
+        for j in range(m):
+            e *= f[j]
     # the two triangles of the product need not be exact conjugates; the
-    # Hermitian part is
-    h = np.conjugate(e.swapaxes(1, 2), out=f)
-    h += e
-    h *= -0.5
-    return h, log_scale, bound
+    # Hermitian part is (conj(E^T) first: the sign of a NaN from an
+    # overflowed entry follows the order of the operands)
+    np.add(np.conjugate(e.swapaxes(1, 2), out=f[0]), e, out=e)
+    e *= -0.5
+    return e, log_scale, bound
 
 
 def is_admissible(c: DiskCollection) -> bool:
@@ -510,12 +520,14 @@ def overlap_measure(c: DiskCollection) -> float:
 
     beta <= 1 exactly when the open disks are pairwise disjoint (tangency
     allowed); for n congruent disks of radius r centered at the n-th roots
-    of unity, beta = r/sin(pi/n).
+    of unity, beta = r/sin(pi/n).  A ratio beyond the double range reads
+    inf, with no numpy warning.
     """
     if c.n < 2:
         raise ValueError("overlap measure needs at least two disks")
     dist, r = _distances(c)
-    return float(((r[:, None] + r) / dist).max())
+    with np.errstate(over="ignore"):
+        return float(((r[:, None] + r) / dist).max())
 
 
 def _distances(c: DiskCollection) -> tuple[np.ndarray, np.ndarray]:

@@ -83,9 +83,17 @@ def a_matrix(n: int, z: float) -> HermitianMatrix:
     is real, so A is exactly Hermitian.  The result equals -Q(sqrt(1+z))
     for the regular collection and is circulant; since no entry is copied
     from another row, asserting that structure to 1e-10 relative guards
-    the index formula.  Non-finite and overflowing products raise no numpy
-    warning; a NaN entry raises ValueError from HermitianMatrix.
+    the index formula.  An entry that is NaN or overflows raises
+    ValueError naming the first one, with no numpy warning.
     """
+    a = _a_array(n, z)
+    _reject(a, ~np.isfinite(a))
+    return HermitianMatrix(a.tolist())
+
+
+def _a_array(n: int, z: float) -> np.ndarray:
+    """The entries of a_matrix as one complex array, checked circulant;
+    non-finite entries stay."""
     if n < 2:
         raise ValueError("need n >= 2")
     if z < -1:
@@ -102,7 +110,14 @@ def a_matrix(n: int, z: float) -> HermitianMatrix:
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise ArithmeticError(f"matrix is not circulant at row {i + 1}, column {j}")
-    return HermitianMatrix(a.tolist())
+    return a
+
+
+def _reject(a: np.ndarray, bad: np.ndarray) -> None:
+    """ValueError naming the first entry of a where bad holds."""
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(f"matrix entry ({i},{j}) is {'NaN' if np.isnan(a[i, j]) else 'infinite'}")
 
 
 def circulant_spectrum(n: int, z, check: bool = True) -> list[float]:
@@ -114,6 +129,8 @@ def circulant_spectrum(n: int, z, check: bool = True) -> list[float]:
     is formed for every m as one matrix-vector product on the floating
     first row of a_matrix, whose entries are computed independently, and
     its imaginary residue is asserted below 1e-9 relative to the row scale.
+    A row with an infinite entry passes; a NaN entry of A raises
+    ValueError, as in a_matrix.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -123,7 +140,9 @@ def circulant_spectrum(n: int, z, check: bool = True) -> list[float]:
     values = [float(t_polynomial(n, m)(zq)) for m in range(1, n + 1)]
     if check:
         w = np.array(_roots_of_unity(n))
-        first_row = np.array(a_matrix(n, float(z)).rows[0])
+        a = _a_array(n, float(z))
+        _reject(a, np.isnan(a))
+        first_row = a[0]
         scale = max(1.0, np.abs(first_row).max())
         with np.errstate(invalid="ignore"):  # an overflowed row sums inf - inf
             residue = (w[np.outer(np.arange(1, n + 1), np.arange(n)) % n] @ first_row).imag

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -120,6 +121,34 @@ class TestCheckCommand:
         payload = json.loads(out)
         assert payload["verdict"] == "positive-definite"
         assert math.isfinite(payload["max_uniform_scale"])
+
+    @pytest.mark.parametrize(
+        "disks, flags, key, text",
+        [
+            ([{"center": [0, 0], "radius": 1}], ["--scale"], "max_uniform_scale", "max scale:   inf"),
+            (
+                [{"center": [0, 0], "radius": 1e300}, {"center": [5e-324, 0], "radius": 1e300}],
+                [],
+                "beta",
+                "beta:        inf",
+            ),
+        ],
+        ids=["one-disk-scale", "overflowing-beta"],
+    )
+    def test_json_holds_no_nonfinite_constant(self, disks, flags, key, text, capsys, monkeypatch):
+        # both used to print Infinity, which strict JSON parsers reject
+        def reject(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        doc = json.dumps({"disks": disks})
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        code, out, err = run(["check", "-", "--format", "json", *flags], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out, parse_constant=reject)[key] is None
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        code, out, err = run(["check", "-", *flags], capsys)
+        assert (code, err) == (0, "")
+        assert text in out.splitlines()
 
     def test_json_minors_beyond_the_int_to_str_limit(self, capsys, monkeypatch):
         # the largest exact minor of these 30 integer disks has 5,073 digits
@@ -394,3 +423,134 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL core.stub: first counterexample here" in out
         assert "1 failure(s)" in out
+
+
+USAGE = "usage: diskpd [-h] {check,rho,verify} ...\n"
+CHECK_USAGE = (
+    "usage: diskpd check [-h] [--mode {auto,floating,exact}] [--tol TOL] [--scale]\n"
+    "                    [--strict-admissible] [--format {text,json}]\n"
+    "                    input\n"
+)
+RHO_USAGE = (
+    "usage: diskpd rho [-h] (--n N | --n-range N_RANGE) [--precision PRECISION]\n"
+    "                  [--csv] [--limits]\n"
+)
+VERIFY_USAGE = (
+    "usage: diskpd verify [-h]\n"
+    "                     [--suite {core,symmetric,orthopoly,radius,triangle,all}]\n"
+    "                     [--nmax NMAX] [--seed SEED]\n"
+)
+PARSER_OUTPUT = [
+    (
+        ["--help"],
+        0,
+        USAGE + "\n"
+        "Positive definiteness of disk collections and maximal n-gon radii\n"
+        "\n"
+        "positional arguments:\n"
+        "  {check,rho,verify}\n"
+        "    check             check a JSON disk collection\n"
+        "    rho               maximal radius table\n"
+        "    verify            run verification suites\n"
+        "\n"
+        "options:\n"
+        "  -h, --help          show this help message and exit\n",
+        "",
+    ),
+    (
+        ["check", "--help"],
+        0,
+        CHECK_USAGE + "\n"
+        "positional arguments:\n"
+        "  input                 path to a JSON document, or - for stdin\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --mode {auto,floating,exact}\n"
+        "                        decision arithmetic (auto: exact when the input is\n"
+        "                        rational)\n"
+        "  --tol TOL             floating pivot tolerance\n"
+        "  --scale               also compute the maximal uniform radius scale\n"
+        "  --strict-admissible   reject non-admissible collections with exit code 3\n"
+        "  --format {text,json}\n",
+        "",
+    ),
+    (
+        ["rho", "--help"],
+        0,
+        RHO_USAGE + "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --n N                 single n\n"
+        "  --n-range N_RANGE     inclusive range LO:HI\n"
+        "  --precision PRECISION\n"
+        "  --csv                 emit CSV instead of a table\n"
+        "  --limits              append the Bessel-zero limit row\n",
+        "",
+    ),
+    (
+        ["verify", "--help"],
+        0,
+        VERIFY_USAGE + "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --suite {core,symmetric,orthopoly,radius,triangle,all}\n"
+        "  --nmax NMAX           cap the symmetric/orthopoly/radius ranges\n"
+        "  --seed SEED           seed for randomized checks\n",
+        "",
+    ),
+    (
+        ["bogus"],
+        2,
+        "",
+        USAGE + "diskpd: error: argument command: invalid choice: 'bogus' (choose from 'check', 'rho', 'verify')\n",
+    ),
+    ([], 2, "", USAGE + "diskpd: error: the following arguments are required: command\n"),
+    (["check"], 2, "", CHECK_USAGE + "diskpd check: error: the following arguments are required: input\n"),
+    (["check", "X", "--bogus"], 2, "", USAGE + "diskpd: error: unrecognized arguments: --bogus\n"),
+    (["--bogus", "check", "X"], 2, "", USAGE + "diskpd: error: unrecognized arguments: --bogus\n"),
+    (
+        ["check", "X", "--mode", "nope"],
+        2,
+        "",
+        CHECK_USAGE
+        + "diskpd check: error: argument --mode: invalid choice: 'nope' (choose from 'auto', 'floating', 'exact')\n",
+    ),
+    (["rho"], 2, "", RHO_USAGE + "diskpd rho: error: one of the arguments --n --n-range is required\n"),
+    (
+        ["rho", "--n", "3", "--n-range", "1:2"],
+        2,
+        "",
+        RHO_USAGE + "diskpd rho: error: argument --n-range: not allowed with argument --n\n",
+    ),
+    (
+        ["verify", "--suite", "nope"],
+        2,
+        "",
+        VERIFY_USAGE + "diskpd verify: error: argument --suite: invalid choice: 'nope' "
+        "(choose from 'core', 'symmetric', 'orthopoly', 'radius', 'triangle', 'all')\n",
+    ),
+]
+
+
+class TestParser:
+    @pytest.mark.parametrize(
+        "argv, code, out, err", PARSER_OUTPUT, ids=[" ".join(case[0]) or "no-command" for case in PARSER_OUTPUT]
+    )
+    def test_help_and_usage_errors(self, argv, code, out, err, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(argv, capsys) == (code, out, err)
+
+    def test_only_the_running_command_gets_a_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(TANGENT_DOC))
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        code, out, err = run(["check", "-"], capsys)
+        assert (code, err) == (0, "")
+        assert built == ["diskpd", "diskpd check"]

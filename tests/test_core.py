@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import decimal
 import hashlib
 import itertools
@@ -272,6 +273,26 @@ class TestStackedBuild:
         if n > 1:
             assert e[-1][1, 1] == 0  # the tangent center
 
+    @pytest.mark.parametrize("b", [1, 3, 50])
+    def test_batched_factors_match_one_factor_at_a_time(self, b):
+        # in every other collection of the stack each disk k > 0 nearly touches a_0
+        # (R_k = |a_0 - a_k| (1 + 1e-15 x), |x| < 1), so that E_00 is a product of
+        # factors near 1e16 and overflows at n = 45 to 70; 2^+-1000 moves every
+        # input near the ends of the double range
+        rng = np.random.default_rng(b)
+        for n in [*range(1, 19), 23, 31, 32, 33, 45, 64, 70]:
+            a = rng.uniform(-1, 1, (b, n)) + 1j * rng.uniform(-1, 1, (b, n))
+            d = np.abs(a[:, :, None] - a[:, None, :]) + np.eye(n)
+            r = d.min(axis=2) * rng.uniform(0.2, 1.5, (b, n))
+            star = slice(n % 2, None, 2)
+            r[star, 1:] = d[star, 0, 1:] * (1 + rng.uniform(-1e-15, 1e-15, r[star, 1:].shape))
+            for t in (1.0, 2.0**1000, 2.0**-1000):
+                with np.errstate(all="ignore"):
+                    want = per_factor_equilibrated(a * t, r * t)
+                    e = core._equilibrated(a * t, r * t)[0]
+                assert e.flags.c_contiguous
+                assert e.tobytes() == want.tobytes(), (n, t)
+
     def test_entry_bound_against_exact_arithmetic(self):
         # E* is the product of the factors in Fraction arithmetic on the
         # computed s_ik, which any positive values keep congruent to Q
@@ -299,6 +320,36 @@ class TestStackedBuild:
         assert np.isinf(q._bound).all()
         report = is_positive_definite(q)
         assert report.verdict is Verdict.INDETERMINATE and report.pivots == ()
+
+
+def per_factor_equilibrated(a, r):
+    """E of core._equilibrated formed one rank-2 factor at a time, one
+    matrix product and one multiplication per k: the reference that the
+    batched products must match bit for bit."""
+    b, n = a.shape
+    top = np.maximum(np.hypot(a.real, a.imag), r).max(axis=1, initial=0.5**1001)
+    unit = np.ldexp(1.0, -np.frexp(top)[1][:, None])
+    a, r = a * unit, r * unit
+    pairs = np.empty((b, n, n, 2), dtype=complex)
+    w = np.subtract(a[:, None, :], a[:, :, None], out=pairs[..., 0])
+    s = w.real * w.real
+    s += w.imag * w.imag
+    s -= (r * r)[:, :, None]
+    np.sqrt(np.abs(s, out=s), out=s)
+    s[s == 0] = 1.0
+    w.real /= s
+    w.imag /= s
+    pairs[..., 1] = np.divide(r[:, :, None], s, out=s)
+    e = np.ones((b, n, n), dtype=complex)
+    f = np.empty_like(e)
+    sign = np.array([1.0, -1.0])
+    for k in range(n):
+        p = pairs[:, k]
+        e *= np.matmul(p * sign, p.conj().swapaxes(1, 2), out=f)
+    h = np.conjugate(e.swapaxes(1, 2), out=f)
+    h += e
+    h *= -0.5
+    return h
 
 
 def exact_equilibrated(c):
@@ -946,6 +997,105 @@ class TestMaxUniformScale:
             assert got[0][0].tobytes() == want._e.tobytes()
             assert got[1][0].tobytes() == want._log_scale.tobytes()
             assert got[2][0].tobytes() == want._bound.tobytes()
+
+
+def scales_with_references():
+    """Collections for the fallback tests, each with the double of the
+    bisection that decides every midpoint, computed before any patch."""
+    collections = [regular_collection(5, 1.0), seeded_collection(3), seeded_collection(11)]
+    return [(c, reference_scale(c)) for c in collections]
+
+
+class TestScaleFallbacks:
+    """Every way max_uniform_scale falls back to deciding midpoints gives
+    the double of a bisection that decides every midpoint."""
+
+    def test_brent_raising(self, monkeypatch):
+        cases = scales_with_references()
+        calls = []
+
+        def raising(*args):
+            calls.append(args)
+            raise ArithmeticError("forced")
+
+        monkeypatch.setattr(core, "_brent", raising)
+        assert [max_uniform_scale(c) for c, _ in cases] == [want for _, want in cases]
+        assert len(calls) == len(cases)
+
+    def test_margin_without_a_sign_change(self, monkeypatch):
+        cases = scales_with_references()
+        eigvalsh, calls = np.linalg.eigvalsh, []
+
+        def lifted(a):
+            calls.append(len(a))
+            return eigvalsh(a) + 1e3  # a positive margin at both ends
+
+        def never(*args):
+            raise AssertionError("Brent's method ran without a sign change")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", lifted)
+        monkeypatch.setattr(core, "_brent", never)
+        assert [max_uniform_scale(c) for c, _ in cases] == [want for _, want in cases]
+        assert len(calls) == 2 * len(cases)
+
+    def test_brent_bisecting(self, monkeypatch):
+        # a margin of +-1 never lets interpolation beat bisection, and its
+        # sign changes where lambda_min(E) does, inside the decisions' band
+        cases = scales_with_references()
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.sign(eigvalsh(a)))
+        assert [max_uniform_scale(c) for c, _ in cases] == [want for _, want in cases]
+
+    @pytest.mark.parametrize("failures", [1, 2])
+    def test_a_failed_proof_of_the_lower_end(self, failures, monkeypatch):
+        # after Brent's method, decisions 1 and 3 are the proofs of the lower end
+        cases = scales_with_references()
+        brent, decide = core._brent, core.is_positive_definite
+        count, flipped = [None], []
+
+        def counted_brent(*args):
+            count[0] = 0
+            return brent(*args)
+
+        def flaky(m, *args, **kwargs):
+            report = decide(m, *args, **kwargs)
+            if count[0] is not None:
+                count[0] += 1
+                if count[0] in (1, 3)[:failures]:
+                    flipped.append(report.verdict)
+                    return dataclasses.replace(report, verdict=Verdict.INDETERMINATE)
+            return report
+
+        monkeypatch.setattr(core, "_brent", counted_brent)
+        monkeypatch.setattr(core, "is_positive_definite", flaky)
+        for c, want in cases:
+            count[0] = None
+            assert max_uniform_scale(c) == want
+        assert flipped == [Verdict.POSITIVE_DEFINITE] * (failures * len(cases))
+
+    @pytest.mark.parametrize(
+        "c",
+        [DiskCollection([0, 2], [1, 1]), DiskCollection([0, 3 + 1j], [0.5, 1.2]), DiskCollection(roots_of_unity(3), [1] * 3)],
+        ids=["pair", "unequal-pair", "triangle"],
+    )
+    def test_bracket_doubling_upward(self, c, monkeypatch):
+        # a quarter of every distance puts the pair bound p / 4 below the
+        # threshold, which lies in (p / 2, p] for these collections
+        want = reference_scale(c)
+        distances, scaled, scales = core._distances, DiskCollection.scaled, []
+        z, r = np.array(c.centers), np.array(c.radii)
+        d = np.hypot((z[:, None] - z).real, (z[:, None] - z).imag)
+        np.fill_diagonal(d, np.inf)
+        p = float((d / np.hypot(r[:, None], r)).min())
+
+        def quartered(collection):
+            dist, radii = distances(collection)
+            return dist / 4, radii
+
+        monkeypatch.setattr(core, "_distances", quartered)
+        monkeypatch.setattr(DiskCollection, "scaled", lambda self, s: scales.append(s) or scaled(self, s))
+        assert max_uniform_scale(c) == want
+        assert scales[:3] == [p / 4, p / 2, p]
 
 
 class TestHermitianMatrix:

@@ -100,6 +100,14 @@ class TestAMatrix:
             with pytest.raises(ValueError, match="NaN"):
                 a_matrix(4, z)
 
+    @pytest.mark.parametrize("n, z", [(2, 1e200), (4, 1e100)])
+    def test_overflowing_entries_raise_without_a_warning(self, n, z):
+        # these products overflow to inf with no NaN; A used to hold them
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"matrix entry \(0,0\) is infinite"):
+                a_matrix(n, z)
+
 
 class TestCirculantSpectrum:
     def test_frozen_two_disk_values(self):
