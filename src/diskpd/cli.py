@@ -184,7 +184,12 @@ def cmd_check(args) -> int:
     matrix = build_q_matrix(source)
     report = is_positive_definite(matrix, mode=mode, tol=args.tol)
     beta = overlap_measure(collection) if collection.n >= 2 else None
-    scale = max_uniform_scale(collection) if args.scale else None
+    try:
+        scale = max_uniform_scale(collection) if args.scale else None
+    except (ValueError, RuntimeError) as exc:
+        why = "left the double range" if isinstance(exc, ValueError) else "could not bracket the scale"
+        print(f"error: --scale: the scale search {why}", file=sys.stderr)
+        return EXIT_USAGE
 
     if args.format == "json":
         payload = {

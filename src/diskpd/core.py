@@ -697,6 +697,16 @@ def _decide_stack(e: np.ndarray, eps: np.ndarray, tol: float) -> list[Positivity
     return reports
 
 
+def _decide_disks(a: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[PositivityReport]]:
+    """Floating build and decision of b collections of n disks, with the
+    complex centers a and radii r of shape (b, n): stacks (E, l) and the
+    reports.  Slice t holds the E and l that build_q_matrix gives
+    collection t and the report that is_positive_definite gives that
+    matrix at the default tolerance, bit for bit."""
+    e, log_scale, bound = _equilibrated(a, r)
+    return e, log_scale, _decide_stack(e, _norm_bound(bound), _TOL)
+
+
 def _div(x: int, d: int) -> int:
     """x / d, which must be exact."""
     q, r = divmod(x, d)
@@ -790,6 +800,11 @@ def max_uniform_scale(c: DiskCollection, tol: float = 1e-12) -> float:
     as the monotone predicate implies, so the result is the double that
     deciding every midpoint gives.  Without a sign change of the margin, a
     non-finite E or a failed proof at an end, every midpoint is decided.
+
+    Raises ValueError for a tol that is not positive and finite, and where
+    the bracket leaves the double range (a scaled radius that is not finite
+    or not positive as a double); RuntimeError where 200 doublings or
+    halvings do not bracket the scale.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tolerance must be positive and finite")
@@ -842,7 +857,8 @@ def max_uniform_scale(c: DiskCollection, tol: float = 1e-12) -> float:
         return lo, hi
 
     dist, r = _distances(c)
-    hi = float((dist / np.hypot(r[:, None], r)).min())
+    with np.errstate(over="ignore"):  # an overflowed bound is inf, whose build raises ValueError
+        hi = float((dist / np.hypot(r[:, None], r)).min())
     grow = 0
     while bracket_end(hi):
         hi *= 2.0

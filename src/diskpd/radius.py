@@ -40,10 +40,6 @@ __all__ = [
     "asymptotic_report",
 ]
 
-#: First positive zero of J_1 and the induced overlap limit j11/pi are
-#: computed on demand; see bessel_j1_first_zero.
-
-
 @dataclass(frozen=True)
 class RadiusResult:
     """Maximal radius rho_n with certificate and estimates.

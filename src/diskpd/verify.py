@@ -50,9 +50,9 @@ def _first_failure(name: str, failures: Iterator[str]) -> CheckResult:
     return CheckResult(name, detail is None, detail or "")
 
 
-def random_collection(rng: random.Random, nmax: int = 8) -> DiskCollection:
-    """Random collection: n in [2, nmax], centers in the unit box,
-    pairwise center distance at least 0.1, unit placeholder radii."""
+def _sample_centers(rng: random.Random, nmax: int) -> tuple[list[complex], float]:
+    """Random centers, n in [2, nmax], in the unit box with pairwise
+    distance at least 0.1, and their least pairwise distance."""
     n = rng.randint(2, nmax)
     for _ in range(10_000):
         centers = [complex(rng.random(), rng.random()) for _ in range(n)]
@@ -60,12 +60,22 @@ def random_collection(rng: random.Random, nmax: int = 8) -> DiskCollection:
             abs(centers[i] - centers[j]) for i in range(n) for j in range(i + 1, n)
         )
         if dmin >= 0.1:
-            return DiskCollection(centers, [1.0] * n)
+            return centers, dmin
     raise RuntimeError("failed to sample a separated center configuration")
 
 
-def _with_radii(c: DiskCollection, radii) -> DiskCollection:
-    return DiskCollection(c.centers, tuple(radii))
+def random_collection(rng: random.Random, nmax: int = 8) -> DiskCollection:
+    """Random collection: n in [2, nmax], centers in the unit box,
+    pairwise center distance at least 0.1, unit placeholder radii."""
+    centers, _ = _sample_centers(rng, nmax)
+    return DiskCollection(centers, [1.0] * len(centers))
+
+
+def _sample_disks(rng: random.Random, nmax: int, lo: float, hi: float) -> DiskCollection:
+    """Random centers as _sample_centers draws them, with radii
+    dmin * U(lo, hi) for their least distance dmin."""
+    centers, dmin = _sample_centers(rng, nmax)
+    return DiskCollection(centers, [dmin * rng.uniform(lo, hi) for _ in centers])
 
 
 def _is_positive(c: DiskCollection) -> bool:
@@ -76,12 +86,9 @@ def _is_positive(c: DiskCollection) -> bool:
 def _sample_positive_collection(rng: random.Random, nmax: int) -> DiskCollection:
     """A random collection known positive (disjoint-by-construction radii)."""
     while True:
-        base = random_collection(rng, nmax)
-        dmin = base.min_pairwise_distance()
-        radii = [dmin * rng.uniform(0.1, 0.45) for _ in range(base.n)]
-        cand = _with_radii(base, radii)
-        if _is_positive(cand):
-            return cand
+        c = _sample_disks(rng, nmax, 0.1, 0.45)
+        if _is_positive(c):
+            return c
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +124,7 @@ def core_suite(seed: int = 0, samples: int = 200, nmax: int = 8) -> list[CheckRe
     # Hermitian symmetry, against an independent per-entry product loop
     bad = None
     for _ in range(40):
-        base = random_collection(rng, nmax)
-        dmin = base.min_pairwise_distance()
-        c = _with_radii(base, [dmin * rng.uniform(0.2, 0.9) for _ in range(base.n)])
+        c = _sample_disks(rng, nmax, 0.2, 0.9)
         q = core.build_q_matrix(c)
         for i in range(c.n):
             for j in range(c.n):
@@ -154,12 +159,11 @@ def core_suite(seed: int = 0, samples: int = 200, nmax: int = 8) -> list[CheckRe
     # small radii always positive
     def small_radii():
         for idx in range(samples):
-            base = random_collection(rng, nmax)
-            dmin = base.min_pairwise_distance()
+            centers, dmin = _sample_centers(rng, nmax)
             scale = 1e-3 * dmin
-            radii = [scale * rng.uniform(0.05, 1.0) for _ in range(base.n)]
-            if not _is_positive(_with_radii(base, radii)):
-                yield f"sample {idx}: n={base.n} not positive at radii scale {scale:.2e}"
+            c = DiskCollection(centers, [scale * rng.uniform(0.05, 1.0) for _ in centers])
+            if not _is_positive(c):
+                yield f"sample {idx}: n={c.n} not positive at radii scale {scale:.2e}"
     out.append(_first_failure("core.small-radius-positivity", small_radii()))
 
     # positivity is inherited by subcollections
@@ -176,7 +180,7 @@ def core_suite(seed: int = 0, samples: int = 200, nmax: int = 8) -> list[CheckRe
     def shrunk_radii():
         for idx in range(samples):
             c = _sample_positive_collection(rng, nmax)
-            shrunk = _with_radii(c, [r * rng.uniform(0.05, 1.0) for r in c.radii])
+            shrunk = DiskCollection(c.centers, [r * rng.uniform(0.05, 1.0) for r in c.radii])
             if not _is_positive(shrunk):
                 yield f"sample {idx}: shrunk radii lost positivity (n={c.n})"
     out.append(_first_failure("core.radius-monotonicity", shrunk_radii()))
@@ -184,9 +188,7 @@ def core_suite(seed: int = 0, samples: int = 200, nmax: int = 8) -> list[CheckRe
     # verdict is invariant under center rotation + translation
     def rigid_motions():
         for idx in range(60):
-            base = random_collection(rng, nmax)
-            dmin = base.min_pairwise_distance()
-            c = _with_radii(base, [dmin * rng.uniform(0.2, 0.8) for _ in range(base.n)])
+            c = _sample_disks(rng, nmax, 0.2, 0.8)
             phase = cmath.exp(2j * math.pi * rng.random())
             shift = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             moved = DiskCollection([phase * z + shift for z in c.centers], c.radii)
@@ -201,9 +203,7 @@ def core_suite(seed: int = 0, samples: int = 200, nmax: int = 8) -> list[CheckRe
     # its error bound v do not change by a bit
     def scalings():
         for idx in range(60):
-            base = random_collection(rng, nmax)
-            dmin = base.min_pairwise_distance()
-            c = _with_radii(base, [dmin * rng.uniform(0.2, 0.8) for _ in range(base.n)])
+            c = _sample_disks(rng, nmax, 0.2, 0.8)
             t = rng.uniform(0.3, 3.0)
             q1 = core.build_q_matrix(c)
             q2 = core.build_q_matrix(DiskCollection([t * z for z in c.centers], [t * r for r in c.radii]))
@@ -595,12 +595,11 @@ def triangle_suite(seed: int = 0, samples: int = 10_000) -> list[CheckResult]:
                     kept.append((idx, radii))
             if not kept:
                 continue
-            e, log_scale, bound = core._equilibrated(
+            e, log_scale, reports = core._decide_disks(
                 np.broadcast_to(centers, (len(kept), 3)), np.array([r for _, r in kept])
             )
             q = e * np.exp(log_scale[:, :, None] + log_scale[:, None, :])
             minors = zip(*(np.linalg.det(q[:, :k, :k]).real.tolist() for k in (1, 2, 3)))
-            reports = core._decide_stack(e, core._norm_bound(bound), core._TOL)
             for (idx, radii), numeric, report in zip(kept, minors, reports):
                 checked += 1
                 closed = triangle.triangle_positive(*radii)

@@ -261,6 +261,23 @@ class TestCheckCommand:
         assert out == ""
         assert err.startswith("error: --tol must be positive and finite")
 
+    @pytest.mark.parametrize(
+        "centers, radius, why",
+        [
+            ([[0, 0], [1e300, 0]], 1e-300, "left the double range"),  # the pair bound overflows
+            ([[0, 0], [5e-324, 0]], 1e300, "left the double range"),  # the pair bound underflows to 0
+            ([[0, 2], [0, 2.225e-309]], 1, "could not bracket the scale"),
+        ],
+    )
+    def test_scale_search_that_fails_exits_two(self, capsys, monkeypatch, centers, radius, why):
+        # each of these ended in a traceback and exit code 1
+        doc = json.dumps({"disks": [{"center": z, "radius": radius} for z in centers]})
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        code, out, err = run(["check", "-", "--scale"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --scale: the scale search {why}\n"
+
 
 class TestRhoCommand:
     def test_golden_column(self, capsys):

@@ -1,9 +1,11 @@
+import ast
 import cmath
 import dataclasses
 import decimal
 import hashlib
 import itertools
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -13,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_q_entry, naive_q_matrix, roots_of_unity
-from diskpd import core
+from diskpd import core, verify
 from diskpd.core import (
     DiskCollection,
     GaussianRational,
@@ -409,11 +411,61 @@ class TestStackedDecision:
         rng = random.Random(3)
         centers = [cmath.exp(2j * math.pi * k / 3) for k in (1, 2, 3)]
         radii = np.array([[rng.uniform(0.05, 1.68) for _ in range(3)] for _ in range(400)])
-        e, log_scale, bound = core._equilibrated(np.broadcast_to(np.array(centers), (400, 3)), radii)
-        reports = core._decide_stack(e, core._norm_bound(bound), core._TOL)
+        e, log_scale, reports = core._decide_disks(np.broadcast_to(np.array(centers), (400, 3)), radii)
         for t, report in enumerate(reports):
-            one = is_positive_definite(HermitianMatrix._built(e[t], log_scale[t], bound[t]))
-            assert _report_bits(report) == _report_bits(one)
+            q = build_q_matrix(DiskCollection(centers, radii[t].tolist()))
+            assert e[t].tobytes() == q._e.tobytes()
+            assert _report_bits(report) == _report_bits(is_positive_definite(q))
+
+
+def _decide_disks_cases():
+    """Collections of four disks: positive-definite, not (one with a zero
+    diagonal entry of E), indeterminate inside the band at rho_4 =
+    sqrt(2/3), and inputs that span past the double range."""
+    rho = math.sqrt(2 / 3)
+    generic = [0, 1.5, 0.3 + 1.1j, -0.8 + 0.6j]
+    return [
+        regular_collection(4, 0.5),
+        DiskCollection(generic, [0.4, 0.5, 0.3, 0.6]),
+        regular_collection(4, 1.2),
+        DiskCollection([0, 1, 2j, 3 + 1j], [1.0, 0.3, 0.3, 0.3]),  # |a_1 - a_0| = R_0
+        regular_collection(4, rho),
+        regular_collection(4, rho * (1 + 1e-11)),
+        DiskCollection([0, 1e300, 2e300, 3e300], [3e-300, 1.0, 1.0, 1.0]),  # v = inf
+    ]
+
+
+class TestDecideDisks:
+    @pytest.mark.parametrize("b", [1, 2, 7])
+    def test_every_slice_is_the_build_and_decision_of_one(self, b):
+        cases = _decide_disks_cases()
+        verdicts = []
+        for first in range(0, len(cases), b):
+            stack = [cases[(first + k) % len(cases)] for k in range(b)]
+            e, log_scale, reports = core._decide_disks(
+                np.array([c.centers for c in stack]), np.array([c.radii for c in stack])
+            )
+            assert len(reports) == b
+            for t, c in enumerate(stack):
+                q = build_q_matrix(c)
+                one = is_positive_definite(q)
+                assert e[t].tobytes() == q._e.tobytes()
+                assert log_scale[t].tobytes() == q._log_scale.tobytes()
+                assert _report_bits(reports[t]) == _report_bits(one)
+                verdicts.append(one.verdict)
+        assert verdicts.count(Verdict.INDETERMINATE) >= 3 and set(verdicts) == set(Verdict)
+        past_range = build_q_matrix(cases[-1])
+        assert np.isinf(past_range._bound).all() and is_positive_definite(past_range).pivots == ()
+
+    def test_verify_reaches_no_other_private_part_of_core(self):
+        tree = ast.parse(pathlib.Path(verify.__file__).read_text(encoding="utf-8"))
+        private = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "core":
+                private.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module in ("core", "diskpd.core"):
+                private.update(alias.name for alias in node.names)
+        assert {name for name in private if name.startswith("_")} == {"_decide_disks"}
 
 
 def _with_smallest_eigenvalue(lam, n=3):
