@@ -221,6 +221,7 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
+_PRECISION = 1e-13  # the default and coarsest --precision
 _RHO_COLUMNS = ("n", "rho", "mu", "lower_bound", "upper_bound", "beta", "n_rho")
 
 
@@ -261,6 +262,10 @@ def cmd_rho(args) -> int:
         return EXIT_USAGE
     if not 0 < args.precision < math.inf:
         print(f"error: --precision must be positive and finite, got {args.precision!r}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.precision > _PRECISION:
+        # a wider interval than the default prints digits that are not rho's
+        print(f"error: --precision must be at most {_PRECISION:g}, got {args.precision!r}", file=sys.stderr)
         return EXIT_USAGE
 
     rows = _rho_rows(ns, args.precision)
@@ -324,7 +329,7 @@ def _check_arguments(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--tol", type=float, default=1e-10, help="floating pivot tolerance")
     p.add_argument(
-        "--scale", action="store_true", help="also compute the maximal uniform radius scale"
+        "--scale", action="store_true", help="also compute the first radius scale where positivity is lost"
     )
     p.add_argument(
         "--strict-admissible",
@@ -339,7 +344,7 @@ def _rho_arguments(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=int, help="single n")
     group.add_argument("--n-range", help="inclusive range LO:HI")
-    p.add_argument("--precision", type=float, default=1e-13)
+    p.add_argument("--precision", type=float, default=_PRECISION)
     p.add_argument("--csv", action="store_true", help="emit CSV instead of a table")
     p.add_argument(
         "--limits", action="store_true", help="append the Bessel-zero limit row"
@@ -358,44 +363,38 @@ def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.set_defaults(func=cmd_verify)
 
 
-class _DeferredParser:
-    """A subcommand's parser, built with its arguments only when argparse
-    hands it the rest of the command line: parse_known_args is all that
-    argparse asks of a subparser, and the top-level help and usage name a
-    subcommand by its help line alone."""
-
-    def __init__(self, arguments, **kwargs) -> None:
-        self.arguments = arguments
-        self.kwargs = kwargs  # what argparse passes to a subparser: prog, and more in later Pythons
-
-    def parse_known_args(self, args=None, namespace=None):
-        parser = argparse.ArgumentParser(**self.kwargs)
-        self.arguments(parser)
-        return parser.parse_known_args(args, namespace)
+_COMMANDS = {
+    "check": (_check_arguments, "check a JSON disk collection"),
+    "rho": (_rho_arguments, "maximal radius table"),
+    "verify": (_verify_arguments, "run verification suites"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The diskpd parser.  Each subcommand's own parser and arguments are
-    built only when that subcommand runs, so a call pays for one of them."""
+    """The diskpd parser with every subcommand.  main builds it only to
+    write help and usage errors; a command that parses builds its own."""
     parser = argparse.ArgumentParser(
         prog="diskpd",
         description="Positive definiteness of disk collections and maximal n-gon radii",
     )
-    # prog is the prefix of each subcommand's prog, which argparse would
-    # otherwise find by formatting a usage line
-    sub = parser.add_subparsers(
-        dest="command", required=True, prog=parser.prog, parser_class=_DeferredParser
-    )
-    sub.add_parser("check", help="check a JSON disk collection", arguments=_check_arguments)
-    sub.add_parser("rho", help="maximal radius table", arguments=_rho_arguments)
-    sub.add_parser("verify", help="run verification suites", arguments=_verify_arguments)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (arguments, help_line) in _COMMANDS.items():
+        arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = _COMMANDS.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command:
+            parser = argparse.ArgumentParser(prog=f"diskpd {argv[0]}")
+            command[0](parser)
+            args, rest = parser.parse_known_args(argv[1:])
+        if not command or rest:
+            # help, no or an unknown command, an option before it or a leftover
+            # argument: the full parser writes what argparse always wrote
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors; normalize for callers
         return int(exc.code) if exc.code is not None else EXIT_USAGE

@@ -166,7 +166,9 @@ def core_suite(seed: int = 0, samples: int = 200, nmax: int = 8) -> list[CheckRe
                 yield f"sample {idx}: n={c.n} not positive at radii scale {scale:.2e}"
     out.append(_first_failure("core.small-radius-positivity", small_radii()))
 
-    # positivity is inherited by subcollections
+    # subcollections of the disjoint positive collections drawn here stay
+    # positive: a hypothesis, false outside the admissible range
+    # (max_uniform_scale)
     def subcollections():
         for idx in range(samples):
             c = _sample_positive_collection(rng, nmax)
@@ -176,7 +178,9 @@ def core_suite(seed: int = 0, samples: int = 200, nmax: int = 8) -> list[CheckRe
                 yield f"sample {idx}: subcollection {subset} of n={c.n} lost positivity"
     out.append(_first_failure("core.subcollection-closure", subcollections()))
 
-    # positivity is preserved under componentwise radius shrinking
+    # shrinking radii keeps the disjoint positive collections drawn here
+    # positive: a hypothesis, false outside the admissible range
+    # (max_uniform_scale)
     def shrunk_radii():
         for idx in range(samples):
             c = _sample_positive_collection(rng, nmax)

@@ -5,14 +5,19 @@ import hashlib
 import io
 import json
 import math
+import os
+import pathlib
 import random
+import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
 from diskpd import core, orthopoly, radius, symmetric, triangle
-from diskpd.cli import main, parse_collection_document, SchemaError
+from diskpd.cli import build_parser, main, parse_collection_document, SchemaError
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 TANGENT_DOC = json.dumps(
     {"disks": [{"center": [0, 0], "radius": 1}, {"center": [2, 0], "radius": 1}]}
@@ -332,12 +337,20 @@ class TestRhoCommand:
         code, _, err = run(["rho", "--n-range", "nope"], capsys)
         assert code == 2
 
-    @pytest.mark.parametrize("precision", ["nan", "inf", "0", "1e-400", "-1"])
+    @pytest.mark.parametrize("precision", ["nan", "inf", "0", "1e-400", "-1", "1e300", "0.5", "1e-10"])
     def test_bad_precision_exits_two(self, capsys, precision):
+        # a coarse one printed rho 0.707106781187 (1e300), 0.5 (0.5) and
+        # 0.460804229847 (1e-10) for n = 8, whose rho is 0.460804229841
+        why = "at most 1e-13" if 0 < float(precision) < math.inf else "positive and finite"
         code, out, err = run(["rho", "--n", "8", "--precision", precision], capsys)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: --precision must be positive and finite")
+        assert err == f"error: --precision must be {why}, got {float(precision)!r}\n"
+
+    def test_finer_precision_prints_the_default_digits(self, capsys):
+        default = run(["rho", "--n", "8"], capsys)
+        assert run(["rho", "--n", "8", "--precision", "1e-15"], capsys) == default
+        assert "0.460804229841" in default[1]
 
 
 class TestVerifyCommand:
@@ -487,7 +500,8 @@ PARSER_OUTPUT = [
         "                        decision arithmetic (auto: exact when the input is\n"
         "                        rational)\n"
         "  --tol TOL             floating pivot tolerance\n"
-        "  --scale               also compute the maximal uniform radius scale\n"
+        "  --scale               also compute the first radius scale where positivity\n"
+        "                        is lost\n"
         "  --strict-admissible   reject non-admissible collections with exit code 3\n"
         "  --format {text,json}\n",
         "",
@@ -570,4 +584,68 @@ class TestParser:
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
         code, out, err = run(["check", "-"], capsys)
         assert (code, err) == (0, "")
-        assert built == ["diskpd", "diskpd check"]
+        assert built == ["diskpd check"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "-", "--form", "json"],
+            ["check", "-", "--strict"],
+            ["check", "-", "--tol=1e-9", "--format=json"],
+            ["check", "-"],
+            ["check", "--mode", "exact", "--scale", "-"],
+            ["check", "-", "extra"],
+            ["check", "-", "--mode", "nope"],
+            ["check", "--format", "json"],
+            ["check", "-", "--", "-"],
+            ["rho", "--n", "4", "--csv"],
+            ["rho", "--n", "3", "--n-range", "1:2"],
+            ["rho", "--n=4", "extra"],
+            ["verify", "--suite", "nope"],
+            ["verify", "--suite", "triangle", "--h"],
+            ["-h", "check", "-"],
+            ["chec", "-"],
+        ],
+        ids=" ".join,
+    )
+    def test_dispatch_matches_the_full_parser(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+        def full_parser(argv):
+            try:
+                args = build_parser().parse_args(argv)
+            except SystemExit as exc:
+                return exc.code
+            return args.func(args)
+
+        results = []
+        for call in (main, full_parser):
+            monkeypatch.setattr("sys.stdin", io.StringIO(TANGENT_DOC))
+            code = call(list(argv))
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        assert results[0] == results[1]
+
+
+class TestEntryPoint:
+    """main() reads sys.argv, as the diskpd console script calls it."""
+
+    def diskpd(self, *argv, stdin=""):
+        env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
+        done = subprocess.run(
+            [sys.executable, "-m", "diskpd.cli", *argv],
+            input=stdin, capture_output=True, text=True, env=env, timeout=60,
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    def test_check_from_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(TANGENT_DOC))
+        in_process = run(["check", "-", "--format", "json"], capsys)
+        assert in_process[0] == 0 and json.loads(in_process[1])["verdict"] == "positive-definite"
+        assert self.diskpd("check", "-", "--format", "json", stdin=TANGENT_DOC) == in_process
+
+    def test_help(self):
+        assert self.diskpd("--help") == PARSER_OUTPUT[0][1:]
+
+    def test_unrecognized_argument(self):
+        assert self.diskpd("check", "X", "--bogus") == (2, "", USAGE + "diskpd: error: unrecognized arguments: --bogus\n")

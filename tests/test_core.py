@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_q_entry, naive_q_matrix, roots_of_unity
-from diskpd import core, verify
+from diskpd import cli, core, verify
 from diskpd.core import (
     DiskCollection,
     GaussianRational,
@@ -458,14 +458,23 @@ class TestDecideDisks:
         assert np.isinf(past_range._bound).all() and is_positive_definite(past_range).pivots == ()
 
     def test_verify_reaches_no_other_private_part_of_core(self):
-        tree = ast.parse(pathlib.Path(verify.__file__).read_text(encoding="utf-8"))
-        private = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "core":
-                private.add(node.attr)
-            elif isinstance(node, ast.ImportFrom) and node.module in ("core", "diskpd.core"):
-                private.update(alias.name for alias in node.names)
-        assert {name for name in private if name.startswith("_")} == {"_decide_disks"}
+        assert private_core_names(verify) == {"_decide_disks"}
+
+    def test_cli_reaches_only_the_readers_of_core(self):
+        assert private_core_names(cli) == {"_read_center", "_read_scalar"}
+
+
+def private_core_names(module) -> set[str]:
+    """The _ names of core that a module's source reaches, as core._x or
+    imported from core."""
+    tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "core":
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module in ("core", "diskpd.core"):
+            names.update(alias.name for alias in node.names)
+    return {name for name in names if name.startswith("_")}
 
 
 def _with_smallest_eigenvalue(lam, n=3):
@@ -977,6 +986,21 @@ class TestMaxUniformScale:
         s = max_uniform_scale(c)
         assert is_positive_definite(build_q_matrix(c.scaled(s * 0.999))).is_positive
         assert not is_positive_definite(build_q_matrix(c.scaled(s * 1.001))).is_positive
+
+    def test_positivity_is_regained_outside_the_admissible_range(self):
+        # B(-3, 5s), B(0, s), B(4, 5s): from s_adm = 3/5 on, center 0 lies in
+        # both outer disks, and the collection is positive definite again at 7/8
+        def disks(s):
+            return DiskCollection([(Fraction(x), Fraction(0)) for x in (-3, 0, 4)], [5 * s, s, 5 * s])
+
+        scales = [Fraction(1, 2), Fraction(3, 4), Fraction(7, 8), Fraction(1)]
+        verdicts = [is_positive_definite(build_q_matrix(disks(s)), mode="exact").verdict for s in scales]
+        assert verdicts == [Verdict.POSITIVE_DEFINITE, Verdict.NOT_POSITIVE_DEFINITE] * 2
+        first_loss = max_uniform_scale(disks(Fraction(1)))
+        assert first_loss <= 3 / 5 and first_loss == pytest.approx(0.58474, abs=1e-5)
+        # the first loss, not the largest positive scale: the same from s = 7/8
+        assert 7 / 8 * max_uniform_scale(disks(Fraction(7, 8))) == pytest.approx(first_loss, rel=1e-11)
+        assert 1 / 2 < first_loss < 3 / 4
 
     def test_single_disk_has_no_finite_scale(self):
         assert max_uniform_scale(DiskCollection([0], [1])) == math.inf
