@@ -3,7 +3,7 @@
 Subcommands:
   check   read a disk collection from JSON, report admissibility, overlap,
           the positivity verdict with its certificate, and optionally the
-          maximal uniform radius scale
+          first uniform radius scale at which positivity is lost
   rho     tabulate the maximal radius, its bounds and overlap coefficient
           over a range of n, as text or CSV
   verify  run the built-in verification suites
@@ -16,18 +16,20 @@ deterministic for fixed inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
 import math
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import radius, verify
 from .core import (
     DiskCollection,
+    GaussianRational,
     Verdict,
-    _read_center,
     _read_scalar,
     build_q_matrix,
     is_admissible,
@@ -56,18 +58,16 @@ def _json_number(x: float) -> float | None:
     return float(_fmt(x)) if math.isfinite(x) else None
 
 
-def _parse_component(value, where: str):
-    """A JSON number, or a string like "3/4" for exact rational input."""
-    if isinstance(value, bool):
-        raise SchemaError(f"{where}: must be a number or rational string")
-    if isinstance(value, (int, float)):
-        return value
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"{where}: invalid rational literal {value!r}") from exc
-    raise SchemaError(f"{where}: must be a number or rational string")
+def _parse_component(value, idx: int, field: str) -> tuple[Fraction | None, float]:
+    """The exact and floating views, read once by core's _read_scalar, of a
+    JSON number or of a string like "3/4" for exact rational input, the
+    field of disk idx."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise SchemaError(f"disks[{idx}].{field}: must be a number or rational string")
+    try:
+        return _read_scalar(value)
+    except (ValueError, ZeroDivisionError) as exc:  # a string that is no rational literal
+        raise SchemaError(f"disks[{idx}].{field}: invalid rational literal {value!r}") from exc
 
 
 def parse_collection_document(text: str) -> tuple[DiskCollection, dict]:
@@ -86,34 +86,34 @@ def parse_collection_document(text: str) -> tuple[DiskCollection, dict]:
     if metadata and not isinstance(metadata, dict):
         raise SchemaError("metadata: must be an object")
 
-    centers = []
-    radii = []
+    exact_centers, centers, exact_radii, radii = [], [], [], []
+    nonfinite = None  # the first field not finite as a double, reported after every schema error
     for idx, disk in enumerate(disks):
-        where = f"disks[{idx}]"
         if not isinstance(disk, dict):
-            raise SchemaError(f"{where}: must be an object")
+            raise SchemaError(f"disks[{idx}]: must be an object")
         center = disk.get("center")
         if not isinstance(center, list) or len(center) != 2:
-            raise SchemaError(f"{where}.center: must be a [re, im] pair")
-        re = _parse_component(center[0], f"{where}.center[0]")
-        im = _parse_component(center[1], f"{where}.center[1]")
+            raise SchemaError(f"disks[{idx}].center: must be a [re, im] pair")
+        a, x = _parse_component(center[0], idx, "center[0]")
+        b, y = _parse_component(center[1], idx, "center[1]")
         if "radius" not in disk:
-            raise SchemaError(f"{where}.radius: missing")
-        rad = _parse_component(disk["radius"], f"{where}.radius")
-        if not rad > 0:
-            raise SchemaError(f"{where}.radius: must be positive")
-        centers.append((re, im))
+            raise SchemaError(f"disks[{idx}].radius: missing")
+        exact, rad = _parse_component(disk["radius"], idx, "radius")
+        if not (rad > 0 if exact is None else exact > 0):
+            raise SchemaError(f"disks[{idx}].radius: must be positive")
+        z = complex(x, y)
+        if nonfinite is None and not (cmath.isfinite(z) and math.isfinite(rad)):
+            nonfinite = f"disks[{idx}].{'radius' if cmath.isfinite(z) else 'center'}"
+        exact_centers.append(None if a is None or b is None else GaussianRational(a, b))
+        centers.append(z)
+        exact_radii.append(exact)
         radii.append(rad)
+    if nonfinite is not None:
+        # no digits are echoed: an exact value can have many
+        raise SchemaError(f"{nonfinite}: not finite as a double")
     try:
-        collection = DiskCollection(centers, radii)
+        collection = DiskCollection._of_views(exact_centers, centers, exact_radii, radii)
     except ValueError as exc:
-        # only a failed document pays for finding the field, and no digits are echoed
-        for idx, (center, rad) in enumerate(zip(centers, radii)):
-            for field, read, value in (("center", _read_center, center), ("radius", _read_scalar, rad)):
-                try:
-                    read(value, field, idx)
-                except ValueError:
-                    raise SchemaError(f"disks[{idx}].{field}: not finite as a double") from exc
         raise SchemaError(f"disks: {exc}") from exc
     return collection, metadata
 
@@ -319,85 +319,149 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
 
 
-def _check_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("input", help="path to a JSON document, or - for stdin")
-    p.add_argument(
-        "--mode",
-        choices=("auto", "floating", "exact"),
-        default="auto",
-        help="decision arithmetic (auto: exact when the input is rational)",
-    )
-    p.add_argument("--tol", type=float, default=1e-10, help="floating pivot tolerance")
-    p.add_argument(
-        "--scale", action="store_true", help="also compute the first radius scale where positivity is lost"
-    )
-    p.add_argument(
-        "--strict-admissible",
-        action="store_true",
-        help="reject non-admissible collections with exit code 3",
-    )
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_check)
+class _Command(NamedTuple):
+    """One command of the table: its help line, its positional argument as
+    (dest, help) or None, its options as argparse keywords by flag, in the
+    order that usage and help list them, and the flags of its required pair
+    of mutually exclusive options, if it has one."""
 
-
-def _rho_arguments(p: argparse.ArgumentParser) -> None:
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=int, help="single n")
-    group.add_argument("--n-range", help="inclusive range LO:HI")
-    p.add_argument("--precision", type=float, default=_PRECISION)
-    p.add_argument("--csv", action="store_true", help="emit CSV instead of a table")
-    p.add_argument(
-        "--limits", action="store_true", help="append the Bessel-zero limit row"
-    )
-    p.set_defaults(func=cmd_rho)
-
-
-def _verify_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--suite",
-        choices=tuple(verify.SUITES) + ("all",),
-        default="all",
-    )
-    p.add_argument("--nmax", type=int, default=None, help="cap the symmetric/orthopoly/radius ranges")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    p.set_defaults(func=cmd_verify)
+    help: str
+    positional: tuple[str, str] | None
+    options: dict[str, dict]
+    one_of: tuple[str, ...] = ()
 
 
 _COMMANDS = {
-    "check": (_check_arguments, "check a JSON disk collection"),
-    "rho": (_rho_arguments, "maximal radius table"),
-    "verify": (_verify_arguments, "run verification suites"),
+    "check": _Command(
+        "check a JSON disk collection",
+        ("input", "path to a JSON document, or - for stdin"),
+        {
+            "--mode": dict(
+                choices=("auto", "floating", "exact"),
+                default="auto",
+                help="decision arithmetic (auto: exact when the input is rational)",
+            ),
+            "--tol": dict(type=float, default=1e-10, help="floating pivot tolerance"),
+            "--scale": dict(action="store_true", help="also compute the first radius scale where positivity is lost"),
+            "--strict-admissible": dict(action="store_true", help="reject non-admissible collections with exit code 3"),
+            "--format": dict(choices=("text", "json"), default="text"),
+        },
+    ),
+    "rho": _Command(
+        "maximal radius table",
+        None,
+        {
+            "--n": dict(type=int, help="single n"),
+            "--n-range": dict(help="inclusive range LO:HI"),
+            "--precision": dict(type=float, default=_PRECISION),
+            "--csv": dict(action="store_true", help="emit CSV instead of a table"),
+            "--limits": dict(action="store_true", help="append the Bessel-zero limit row"),
+        },
+        one_of=("--n", "--n-range"),
+    ),
+    "verify": _Command(
+        "run verification suites",
+        None,
+        {
+            "--suite": dict(choices=tuple(verify.SUITES) + ("all",), default="all"),
+            "--nmax": dict(type=int, default=None, help="cap the symmetric/orthopoly/radius ranges"),
+            "--seed": dict(type=int, default=0, help="seed for randomized checks"),
+        },
+    ),
 }
 
 
+def _function(name: str):
+    """cmd_<name>, looked up at each call, so that a rebinding of the module
+    name (a test's stub, a tracer's wrapper) is the function that runs."""
+    return globals()[f"cmd_{name}"]
+
+
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
+    """The arguments and function of command name, from its table entry."""
+    command = _COMMANDS[name]
+    if command.positional:
+        dest, help_line = command.positional
+        parser.add_argument(dest, help=help_line)
+    group = parser.add_mutually_exclusive_group(required=True) if command.one_of else None
+    for flag, option in command.options.items():
+        (group if flag in command.one_of else parser).add_argument(flag, **option)
+    parser.set_defaults(func=_function(name))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The diskpd parser with every subcommand.  main builds it only to
-    write help and usage errors; a command that parses builds its own."""
+    """The diskpd parser with every subcommand.  main builds it only for a
+    command line that _read_argv does not read, to parse it or to write
+    help and usage errors."""
     parser = argparse.ArgumentParser(
         prog="diskpd",
         description="Positive definiteness of disk collections and maximal n-gon radii",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (arguments, help_line) in _COMMANDS.items():
-        arguments(sub.add_parser(name, help=help_line))
+    for name, command in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=command.help), name)
     return parser
+
+
+def _read_argv(argv) -> argparse.Namespace | None:
+    """The Namespace that the parser of command argv[0] gives a canonical
+    command line, read from the table without building a parser, or None
+    for any other argv.
+
+    Canonical: a command, then, in any order, its options in their exact
+    spellings, each value option followed by a value that does not start
+    with "-", and as many positional tokens as the command takes, each "-"
+    or one that does not start with "-".  Every value passes its option's
+    converter and choices, and a required pair is given exactly one member;
+    a repeated option keeps its last value, as in argparse.  argparse reads
+    every such argv to this Namespace (the full parser adds command), and
+    main hands every other argv to argparse."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    given, positionals = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        option = command.options.get(token)
+        if option is None:
+            if token.startswith("-") and token != "-":
+                return None
+            positionals.append(token)
+        elif option.get("action") == "store_true":
+            given[token] = True
+        else:
+            value = next(tokens, "-")  # a missing value reads as one that starts with "-"
+            if value.startswith("-"):
+                return None
+            try:
+                value = option.get("type", str)(value)
+            except ValueError:
+                return None
+            if "choices" in option and value not in option["choices"]:
+                return None
+            given[token] = value
+    if len(positionals) != (command.positional is not None):
+        return None
+    if command.one_of and sum(flag in given for flag in command.one_of) != 1:
+        return None
+    args = {command.positional[0]: positionals[0]} if command.positional else {}
+    for flag, option in command.options.items():
+        default = False if option.get("action") == "store_true" else option.get("default")
+        args[flag[2:].replace("-", "_")] = given.get(flag, default)
+    return argparse.Namespace(**args, func=_function(argv[0]))
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    command = _COMMANDS.get(argv[0]) if argv else None
-    try:
-        if command:
-            parser = argparse.ArgumentParser(prog=f"diskpd {argv[0]}")
-            command[0](parser)
-            args, rest = parser.parse_known_args(argv[1:])
-        if not command or rest:
-            # help, no or an unknown command, an option before it or a leftover
-            # argument: the full parser writes what argparse always wrote
+    args = _read_argv(argv)
+    if args is None:
+        # help, an error, or an argv that only argparse reads: the full
+        # parser writes what argparse always wrote
+        try:
             args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits with 2 on usage errors; normalize for callers
-        return int(exc.code) if exc.code is not None else EXIT_USAGE
+        except SystemExit as exc:
+            # argparse exits with 2 on usage errors; normalize for callers
+            return int(exc.code) if exc.code is not None else EXIT_USAGE
     return args.func(args)
 
 

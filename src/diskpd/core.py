@@ -8,9 +8,8 @@ Hermitian matrix with entries
 is positive definite.  This module builds Q for arbitrary collections,
 decides positive definiteness (a floating proof, from a Cholesky
 factorization or a witness vector, or exact rational leading minors when
-the inputs are rational), measures
-disk overlap, and searches for the largest uniform radius scaling that
-keeps a collection positive.
+the inputs are rational), measures disk overlap, and searches for the
+first uniform radius scale at which a collection loses positivity.
 
 All types are immutable values; all operations are pure functions.
 """
@@ -70,7 +69,9 @@ def _read_scalar(value, name: str | None = None, index: int | None = None) -> tu
     input.  Given a name, a value that is not finite as a double raises
     ValueError naming it and the index, not its digits, which can be many.
     """
-    if isinstance(value, (float, bool)) or not isinstance(value, (int, str, Fraction)):
+    if type(value) is float:  # the common input, tested first
+        exact, x = None, value
+    elif isinstance(value, bool) or not isinstance(value, (int, str, Fraction)):
         exact, x = None, float(value)
     else:
         exact = Fraction(value)
@@ -148,7 +149,7 @@ class DiskCollection:
     radii strictly positive; centers must be pairwise distinct.
     """
 
-    __slots__ = ("centers", "radii", "exact_centers", "exact_radii")
+    __slots__ = ("centers", "radii", "exact_centers", "exact_radii", "_distances")
 
     def __init__(self, centers, radii):
         centers = tuple(centers)
@@ -160,19 +161,33 @@ class DiskCollection:
 
         exact_centers, float_centers = zip(*(_read_center(c, "center", i) for i, c in enumerate(centers)))
         exact_radii, float_radii = zip(*(_read_scalar(r, "radius", i) for i, r in enumerate(radii)))
+        self._hold(exact_centers, float_centers, exact_radii, float_radii)
+
+    @classmethod
+    def _of_views(cls, exact_centers, centers, exact_radii, radii) -> "DiskCollection":
+        """The collection of n >= 1 disks whose centers and radii read, by
+        _read_center and _read_scalar, as these exact and floating views,
+        with every floating value finite: no value is read again."""
+        c = cls.__new__(cls)
+        c._hold(tuple(exact_centers), tuple(centers), tuple(exact_radii), tuple(radii))
+        return c
+
+    def _hold(self, exact_centers, float_centers, exact_radii, float_radii) -> None:
+        """Check the views of every disk and store them."""
         is_exact = all(x is not None for x in (*exact_centers, *exact_radii))
         for i, x in enumerate(float_radii):
             if x <= 0:
                 raise ValueError(f"radius {i} is not positive as a double")
 
         distinct = set(exact_centers if is_exact else float_centers)
-        if len(distinct) != len(centers):
+        if len(distinct) != len(float_centers):
             raise ValueError("centers must be pairwise distinct")
 
         self.centers = float_centers
         self.radii = float_radii
         self.exact_centers = exact_centers if is_exact else None
         self.exact_radii = exact_radii if is_exact else None
+        self._distances = None  # (dist, r) of _distances, made on first use
 
     @property
     def n(self) -> int:
@@ -533,11 +548,16 @@ def overlap_measure(c: DiskCollection) -> float:
 def _distances(c: DiskCollection) -> tuple[np.ndarray, np.ndarray]:
     """The matrix of center distances |a_i - a_j| of a collection, with
     the bits of Python's abs(a_i - a_j) and inf for i = j, and its radii,
-    as floats.  It is symmetric, bit for bit."""
-    z = np.array(c.centers)
-    dist = _hypot(z[:, None] - z)
-    dist.flat[:: len(z) + 1] = np.inf
-    return dist, np.array(c.radii)
+    as floats.  It is symmetric, bit for bit.  Both arrays are read-only
+    and made once per collection, on first use."""
+    if c._distances is None:
+        z = np.array(c.centers)
+        dist = _hypot(z[:, None] - z)
+        dist.flat[:: len(z) + 1] = np.inf
+        r = np.array(c.radii)
+        dist.flags.writeable = r.flags.writeable = False
+        c._distances = dist, r
+    return c._distances
 
 
 def _add_up(a: float, b: float) -> float:

@@ -84,10 +84,15 @@ def _is_positive(c: DiskCollection) -> bool:
 
 
 def _sample_positive_collection(rng: random.Random, nmax: int) -> DiskCollection:
-    """A random collection known positive (disjoint-by-construction radii)."""
+    """A random admissible collection known positive (disjoint-by-construction radii)."""
     while True:
         c = _sample_disks(rng, nmax, 0.1, 0.45)
-        if _is_positive(c):
+        # subcollection closure and radius monotonicity, which the checks
+        # drawing from here test, are hypotheses for admissible collections
+        # only: outside that range positivity can be lost on a subcollection
+        # or on smaller radii (max_uniform_scale).  Radii below dmin are
+        # admissible, so no draw is rejected and the random stream is kept.
+        if core.is_admissible(c) and _is_positive(c):
             return c
 
 

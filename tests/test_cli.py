@@ -1,4 +1,6 @@
 import argparse
+import cmath
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -13,8 +15,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diskpd import core, orthopoly, radius, symmetric, triangle
+from diskpd import cli, core, orthopoly, radius, symmetric, triangle
 from diskpd.cli import build_parser, main, parse_collection_document, SchemaError
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -60,6 +64,40 @@ def exact_documents() -> list[str]:
         qr = rng.choice([1, 2, 5, 10])
         radii = [Fraction(max(1, int(gap * rng.uniform(0.3, 1.3) * qr)), qr) for _ in points]
         docs.append(document(points, radii))
+    return docs
+
+
+def floating_documents() -> list[tuple[str, list[str]]]:
+    """Seeded floating documents with the check flags to run them with,
+    n = 3..45: regular n-gons at rho_n (1 +- delta), scaled by 10^-3..10^3,
+    rotated and shifted; collinear rows with radius 0.1..0.6 x spacing;
+    generic collections on a dyadic grid.  The n-gons with n <= 12 and the
+    shortest rows also run --scale."""
+    def document(points, radii) -> str:
+        return json.dumps({"disks": [{"center": [z.real, z.imag], "radius": r} for z, r in zip(points, radii)]})
+
+    rng = random.Random(4007)
+    docs = []
+    for n in (3, 4, 5, 6, 7, 8, 10, 12, 16, 23, 32, 45):
+        for sign in (1, -1):
+            scale = 10.0 ** rng.uniform(-3, 3)
+            shift = complex(rng.uniform(-5, 5), rng.uniform(-5, 5)) * scale
+            theta = rng.uniform(0, 2 * math.pi)
+            r = radius.maximal_radius(n).rho * (1 + sign * rng.uniform(0.001, 0.1)) * scale
+            points = [scale * cmath.exp(1j * (theta + 2 * math.pi * k / n)) + shift for k in range(n)]
+            docs.append((document(points, [r] * n), ["--scale"] if n <= 12 else []))
+    for n in (3, 5, 9, 17, 30, 45):
+        spacing = 10.0 ** rng.uniform(-2, 2)
+        ratio = rng.choice([0.1, 0.3, 0.45, 0.6])
+        docs.append((document([complex(spacing * k, 0) for k in range(n)], [ratio * spacing] * n),
+                     ["--scale"] if n <= 5 else []))
+    for n in (3, 6, 11, 20, 33, 45):
+        grid = set()
+        while len(grid) < n:
+            grid.add((rng.randint(-64, 64), rng.randint(-64, 64)))
+        points = [complex(x, y) / 16 for x, y in sorted(grid)]
+        gap = min(abs(a - b) for a in points for b in points if a != b)
+        docs.append((document(points, [gap * rng.uniform(0.2, 1.2) for _ in points]), []))
     return docs
 
 
@@ -426,6 +464,19 @@ class TestVerifyCommand:
                 digest.update(out.encode())
         assert digest.hexdigest() == "d7933e8f10f7d549c22ef84f63a593b6fde156a3e179405df306aad6a71b4d2b"
 
+    def test_golden_floating_check(self, capsys, monkeypatch):
+        # pivots, witness bounds and scales print to 12 digits, so this pins
+        # the floating build, decision and scale search on every n-gon, row
+        # and grid of floating_documents
+        digest = hashlib.sha256()
+        for doc, flags in floating_documents():
+            for fmt in ("json", "text"):
+                monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+                code, out, err = run(["check", "-", "--format", fmt, *flags], capsys)
+                assert (code, err) == (0, "")
+                digest.update(out.encode())
+        assert digest.hexdigest() == "7a54205b49b52e3e3b6ead1800ecf2d1088811c660584c5dae7bf52015e2edf9"
+
     def test_unknown_suite_exits_two(self, capsys):
         code, out, err = run(["verify", "--suite", "bogus"], capsys)
         assert code == 2
@@ -572,7 +623,7 @@ class TestParser:
         monkeypatch.setenv("COLUMNS", "80")
         assert run(argv, capsys) == (code, out, err)
 
-    def test_only_the_running_command_gets_a_parser(self, capsys, monkeypatch):
+    def test_success_paths_build_no_parser(self, capsys, monkeypatch):
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -580,11 +631,15 @@ class TestParser:
             built.append(kwargs.get("prog"))
             init(self, *args, **kwargs)
 
-        monkeypatch.setattr("sys.stdin", io.StringIO(TANGENT_DOC))
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-        code, out, err = run(["check", "-"], capsys)
-        assert (code, err) == (0, "")
-        assert built == ["diskpd check"]
+        for argv in (["check", "-"], ["rho", "--n", "4"], ["verify", "--suite", "triangle"]):
+            monkeypatch.setattr("sys.stdin", io.StringIO(TANGENT_DOC))
+            code, out, err = run(argv, capsys)
+            assert (code, err) == (0, "")
+        assert built == []
+        monkeypatch.setattr("sys.stdin", io.StringIO(TANGENT_DOC))
+        assert run(["check", "-", "--form", "json"], capsys)[0] == 0
+        assert built == ["diskpd", "diskpd check", "diskpd rho", "diskpd verify"]
 
     @pytest.mark.parametrize(
         "argv",
@@ -605,6 +660,28 @@ class TestParser:
             ["verify", "--suite", "triangle", "--h"],
             ["-h", "check", "-"],
             ["chec", "-"],
+            ["check", "-", "--tol", "-1"],
+            ["check", "-", "--tol", "nan"],
+            ["check", "-", "--tol", "-"],
+            ["check", "-", "--tol"],
+            ["check", "-", "--format", "json", "--format", "text"],
+            ["check", "-", "--scale", "--scale"],
+            ["check", "-", "-h"],
+            ["check", "--", "-"],
+            ["check", "-", "-"],
+            ["rho", "--n", "1_0", "--csv"],
+            ["rho", "--n-range", "-3:4"],
+            ["rho", "--n-range", "2:3", "--limits", "--csv"],
+            ["rho", "--n", "-1"],
+            ["rho", "--n"],
+            ["rho", "--n-range"],
+            ["rho", "--n", "4", "--n", "5"],
+            ["rho", "--n", "4", "-h"],
+            ["rho", "-", "--n", "4"],
+            ["rho"],
+            ["verify", "--suite", "triangle", "--seed", "-1"],
+            ["verify", "--suite=triangle"],
+            ["verify", "--suite", "triangle", "--seed", "1_0", "--nmax", "3"],
         ],
         ids=" ".join,
     )
@@ -625,6 +702,101 @@ class TestParser:
             captured = capsys.readouterr()
             results.append((code, captured.out, captured.err))
         assert results[0] == results[1]
+
+
+ARGV_VALUES = [
+    "-", "-1", "-3:4", "nan", "1_0", "4", "2:5", "1e-9", "0", "X", "",
+    "json", "text", "auto", "exact", "core", "triangle", "all",
+]
+ARGV_TOKENS = [
+    *sorted({flag for command in cli._COMMANDS.values() for flag in command.options}),
+    *ARGV_VALUES,
+    "--", "--format=json", "--n=4", "--tol=1e-9", "--form", "--strict", "--n-r",
+    "-h", "--help", "--bogus", "junk",
+]
+
+FITTING = {int: ("4", "1_0", " 3 "), float: ("1e-9", "nan", "4"), str: ("2:5", "4", "")}
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    """A command line built to the table (a command's positional, one, both
+    or none of its required pair and any of its other options, with values
+    that mostly fit them, in any order) with up to two tokens deleted or
+    inserted, or the same for a name that is no command."""
+    name = draw(st.sampled_from([*cli._COMMANDS] * 3 + ["chec", "-h", "--bogus"]))
+    command = cli._COMMANDS.get(name, cli._COMMANDS["check"])
+    parts = [[draw(st.sampled_from(["-", "doc.json", "doc.json", "doc.json", "-1", "-x"]))]] if command.positional else []
+    pair = command.one_of
+    given = draw(st.sampled_from([(flag,) for flag in pair] + [pair, ()])) if pair else ()
+    for flag, option in command.options.items():
+        if flag not in given and (flag in pair or draw(st.booleans())):
+            continue
+        if option.get("action") == "store_true":
+            parts.append([flag])
+        else:
+            fitting = st.sampled_from(option.get("choices") or FITTING[option.get("type", str)])
+            dashed = st.sampled_from(["-", "-1", "-3:4", "-x"])
+            parts.append([flag, draw(st.one_of(fitting, fitting, fitting, dashed, st.sampled_from(ARGV_VALUES)))])
+    argv = [name, *(token for part in draw(st.permutations(parts)) for token in part)]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        at = draw(st.integers(1, len(argv)))
+        if at < len(argv) and draw(st.booleans()):
+            del argv[at]
+        else:
+            argv.insert(at, draw(st.sampled_from(ARGV_TOKENS)))
+    return argv
+
+
+def stub_command(args) -> int:
+    """Prints the arguments that a command reads."""
+    print(sorted((k, repr(v)) for k, v in vars(args).items() if k not in ("func", "command")))
+    return 0
+
+
+class TestArgvReader:
+    """main reads a canonical argv without argparse; argparse is the reference."""
+
+    @staticmethod
+    def outcome(call, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = call(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    @staticmethod
+    def full_parser(argv):
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(command_lines())
+    def test_reader_agrees_with_argparse(self, argv):
+        name = argv[0]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("COLUMNS", "80")
+            for command in cli._COMMANDS:
+                patch.setattr(cli, f"cmd_{command}", stub_command)
+            args = cli._read_argv(argv)
+            if args is not None:
+                parser = argparse.ArgumentParser(prog=f"diskpd {name}")
+                cli._add_arguments(parser, name)
+                want, rest = parser.parse_known_args(argv[1:])
+                assert rest == []
+                assert {k: repr(v) for k, v in vars(args).items()} == {k: repr(v) for k, v in vars(want).items()}
+            assert self.outcome(main, argv) == self.outcome(self.full_parser, argv)
+
+    def test_canonical_argv_of_every_command_is_read(self):
+        for argv in (
+            ["check", "doc.json", "--format", "json", "--scale"],
+            ["check", "--mode", "exact", "--strict-admissible", "-", "--tol", "1e-9"],
+            ["rho", "--n-range", "2:64", "--csv", "--limits", "--precision", "1e-14"],
+            ["verify", "--suite", "all", "--seed", "3", "--nmax", "8"],
+        ):
+            assert cli._read_argv(argv) is not None, argv
 
 
 class TestEntryPoint:

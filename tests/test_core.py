@@ -461,19 +461,21 @@ class TestDecideDisks:
         assert private_core_names(verify) == {"_decide_disks"}
 
     def test_cli_reaches_only_the_readers_of_core(self):
-        assert private_core_names(cli) == {"_read_center", "_read_scalar"}
+        assert private_core_names(cli) == {"_read_scalar", "_of_views"}
 
 
 def private_core_names(module) -> set[str]:
-    """The _ names of core that a module's source reaches, as core._x or
-    imported from core."""
+    """The _ names of core that a module's source reaches, as core._x,
+    imported from core, or as X._x of a name X imported from core."""
     tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
-    names = set()
+    imported = {"core"}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "core":
+        if isinstance(node, ast.ImportFrom) and node.module in ("core", "diskpd.core"):
+            imported.update(alias.name for alias in node.names)
+    names = set(imported)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in imported:
             names.add(node.attr)
-        elif isinstance(node, ast.ImportFrom) and node.module in ("core", "diskpd.core"):
-            names.update(alias.name for alias in node.names)
     return {name for name in names if name.startswith("_")}
 
 
