@@ -466,4 +466,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main())  # unrun: only the untraced subprocess of TestEntryPoint runs it

@@ -197,27 +197,28 @@ class DiskCollection:
     def is_exact(self) -> bool:
         return self.exact_centers is not None
 
+    def _views(self) -> tuple[tuple, tuple, tuple, tuple]:
+        """The exact and floating views of the centers and radii, as
+        _of_views takes them: an exact view of None per disk when inexact."""
+        none = (None,) * self.n
+        return self.exact_centers or none, self.centers, self.exact_radii or none, self.radii
+
     def scaled(self, factor) -> "DiskCollection":
-        """Same centers with every radius multiplied by factor > 0."""
+        """Same centers with every radius multiplied by factor > 0: only the
+        new radii are read."""
         exact, f = _read_scalar(factor)
         if self.is_exact and exact is not None:
-            return DiskCollection(self.exact_centers, tuple(r * exact for r in self.exact_radii))
-        return DiskCollection(self.centers, tuple(r * f for r in self.radii))
+            radii = [_read_scalar(r * exact, "radius", i) for i, r in enumerate(self.exact_radii)]
+        else:
+            radii = [_read_scalar(r * f, "radius", i) for i, r in enumerate(self.radii)]
+        exact_centers, centers, _, _ = self._views()
+        return DiskCollection._of_views(exact_centers, centers, *zip(*radii))
 
     def subcollection(self, indices) -> "DiskCollection":
         indices = tuple(indices)
-        centers = self.exact_centers if self.is_exact else self.centers
-        radii = self.exact_radii if self.is_exact else self.radii
-        return DiskCollection([centers[i] for i in indices], [radii[i] for i in indices])
-
-    def min_pairwise_distance(self) -> float:
-        if self.n < 2:
-            raise ValueError("need at least two disks")
-        return min(
-            abs(self.centers[i] - self.centers[j])
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-        )
+        if not indices:
+            raise ValueError("a disk collection needs at least one disk")
+        return DiskCollection._of_views(*([view[i] for i in indices] for view in self._views()))
 
     def __repr__(self):
         return f"DiskCollection(n={self.n}, exact={self.is_exact})"
@@ -731,7 +732,7 @@ def _div(x: int, d: int) -> int:
     """x / d, which must be exact."""
     q, r = divmod(x, d)
     if r:
-        raise ArithmeticError("fraction-free elimination left a remainder")
+        raise ArithmeticError("fraction-free elimination left a remainder")  # unrun: guard: Bareiss divisions are exact
     return q
 
 
@@ -751,7 +752,7 @@ def _decide_exact(m: HermitianMatrix) -> PositivityReport:
     for k, pivot_row in enumerate(a):
         p, p_im = pivot_row[0]
         if p_im:
-            raise ArithmeticError("Hermitian leading minor must be real")
+            raise ArithmeticError("Hermitian leading minor must be real")  # unrun: guard: a Hermitian pivot is real
         minors.append(Fraction(p * bottom ** (k + 1), top ** (k + 1)))
         if p == 0:
             break

@@ -105,8 +105,6 @@ class RationalPolynomial:
     def __eq__(self, other) -> bool:
         if isinstance(other, RationalPolynomial):
             return self._num == other._num and self._den == other._den
-        if isinstance(other, (int, Fraction)):
-            return self == RationalPolynomial([other])
         return NotImplemented
 
     def __hash__(self):
@@ -141,9 +139,6 @@ class RationalPolynomial:
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, RationalPolynomial):
@@ -209,12 +204,6 @@ class RationalPolynomial:
         q, r, s = _pseudo_divmod(self._num, other._num)
         quo = RationalPolynomial._of([c * other._den for c in q], s * self._den)
         return quo, RationalPolynomial._of(r, s * self._den)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
 
     def exact_div(self, other) -> "RationalPolynomial":
         quo, rem = divmod(self, other)
@@ -494,7 +483,7 @@ def _newton_guess(cs, sa: int, a: Fraction, b: Fraction) -> float:
         if not lo < nx < hi:
             nx = 0.5 * (lo + hi)
         if nx == x:
-            break
+            break  # unrun: guard: a step that rounds to no move
         x = nx
     return x
 

@@ -155,7 +155,7 @@ def _smallest_zero_guess(recurrence, n: int) -> float:
             ax = a * x + b
             p0, p1, d0, d1 = p1, (ax * p1 - c * p0) / e, d1, (ax * d1 + a * p1 - c * d0) / e
         if not d1:
-            break
+            break  # unrun: guard: Newton's method cannot divide by a zero derivative
         step = p1 / d1
         x -= step
         if not abs(step) > 1e-16:
@@ -223,7 +223,11 @@ def rho_bounds(n: int) -> tuple[float, float]:
 
 
 def bessel_j1(x: float) -> float:
-    """J_1 by its power series; accurate to ~1e-15 absolute on [0, 5]."""
+    """J_1 by its power series, accurate to about 1e-15 absolute on
+    [-5, 5].  Beyond that the float series cancels (it gives 7e7 at
+    x = 60), so ValueError for NaN or |x| > 5."""
+    if not abs(x) <= 5.0:
+        raise ValueError(f"bessel_j1 is accurate for |x| <= 5 only, got {x!r}")
     half = x / 2.0
     term = half
     total = term
@@ -245,8 +249,6 @@ def bessel_j1_first_zero(precision: float = 1e-13) -> float:
     while hi - lo > precision:
         mid = 0.5 * (lo + hi)
         fmid = bessel_j1(mid)
-        if fmid == 0.0:
-            return mid
         if (fmid > 0) == (flo > 0):
             lo, flo = mid, fmid
         else:

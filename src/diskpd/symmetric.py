@@ -231,11 +231,9 @@ def det_factorization_check(n: int, r: float) -> DetFactorizationResult:
     q = build_q_matrix(regular_collection(n, float(r)))
     qn = q.to_numpy()
     spectrum = np.abs(np.linalg.eigvalsh(qn))
-    if spectrum.min() <= 1e-8 * spectrum.max():
-        # det vanishes within what double-precision LU can resolve
-        return DetFactorizationResult(n=n, r=float(r), boundary=True)
     sgn, log_lu = np.linalg.slogdet(qn)
-    if sgn == 0:
+    if spectrum.min() <= 1e-8 * spectrum.max() or sgn == 0:
+        # det vanishes within what double-precision LU can resolve
         return DetFactorizationResult(n=n, r=float(r), boundary=True)
     if abs(sgn.imag) > 1e-3:
         raise ArithmeticError("determinant of a Hermitian matrix must be real")

@@ -10,6 +10,7 @@ subcommand runs these; the test suite asserts on them as well.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 import warnings
@@ -24,7 +25,6 @@ from .core import DiskCollection, Verdict
 
 __all__ = [
     "CheckResult",
-    "random_collection",
     "core_suite",
     "symmetric_suite",
     "orthopoly_suite",
@@ -62,13 +62,6 @@ def _sample_centers(rng: random.Random, nmax: int) -> tuple[list[complex], float
         if dmin >= 0.1:
             return centers, dmin
     raise RuntimeError("failed to sample a separated center configuration")
-
-
-def random_collection(rng: random.Random, nmax: int = 8) -> DiskCollection:
-    """Random collection: n in [2, nmax], centers in the unit box,
-    pairwise center distance at least 0.1, unit placeholder radii."""
-    centers, _ = _sample_centers(rng, nmax)
-    return DiskCollection(centers, [1.0] * len(centers))
 
 
 def _sample_disks(rng: random.Random, nmax: int, lo: float, hi: float) -> DiskCollection:
@@ -539,7 +532,7 @@ def radius_suite(nmax: int = 64) -> list[CheckResult]:
     out.append(_first_failure("radius.central-root-shared", central_roots()))
 
     def scale_searches():
-        for n in range(2, 11):
+        for n in range(2, min(nmax, 10) + 1):
             brute = core.max_uniform_scale(symmetric.regular_collection(n, 1.0))
             if abs(results[n].rho - brute) > 1e-8:
                 yield f"n={n}: scale search {brute!r} vs exact {results[n].rho!r}"
@@ -578,8 +571,8 @@ def radius_suite(nmax: int = 64) -> list[CheckResult]:
 # triangle
 # ---------------------------------------------------------------------------
 
-#: Samples built as one stack: 10,000 at once would raise the peak memory of
-#: a verify run by about 14 MB.
+#: Kept samples built as one stack: 10,000 at once would raise the peak
+#: memory of a verify run by about 14 MB.
 _TRIANGLE_CHUNK = 1_000
 
 
@@ -593,17 +586,18 @@ def triangle_suite(seed: int = 0, samples: int = 10_000) -> list[CheckResult]:
     mismatches = 0
     checked = 0
     worst_minor = 0.0
+
+    def kept_draws():
+        """(index, radii) of the samples off the boundary sum 3."""
+        for idx in range(samples):
+            radii = [rng.uniform(0.05, rmax) for _ in range(3)]
+            if abs(sum(r * r for r in radii) - 3.0) >= 1e-6:
+                yield idx, radii
+
+    draws = kept_draws()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # triangle_positive near the boundary
-        for first in range(0, samples, _TRIANGLE_CHUNK):
-            kept = []
-            for idx in range(first, min(first + _TRIANGLE_CHUNK, samples)):
-                radii = [rng.uniform(0.05, rmax) for _ in range(3)]
-                total = sum(r * r for r in radii)
-                if abs(total - 3.0) >= 1e-6:
-                    kept.append((idx, radii))
-            if not kept:
-                continue
+        while kept := list(itertools.islice(draws, _TRIANGLE_CHUNK)):
             e, log_scale, reports = core._decide_disks(
                 np.broadcast_to(centers, (len(kept), 3)), np.array([r for _, r in kept])
             )
@@ -648,8 +642,6 @@ def triangle_suite(seed: int = 0, samples: int = 10_000) -> list[CheckResult]:
 
     def equal_radii():
         for r in [0.1 + 0.05 * k for k in range(32)]:
-            if r * r * 3 >= 3 - 1e-9 and r < 1.0:
-                continue
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 verdict = triangle.triangle_positive(r, r, r)

@@ -265,6 +265,50 @@ class TestCheckCommand:
         assert err.startswith(f"error: disks[0].{field}: ") and "finite" in err
         assert "0" * 20 not in err
 
+    @pytest.mark.parametrize(
+        "doc, flags, message",
+        [
+            ('{"disks": [{"center": [true, 0], "radius": 1}]}', [],
+             "disks[0].center[0]: must be a number or rational string"),
+            ('{"disks": [{"center": [0, "x"], "radius": 1}]}', [], "disks[0].center[1]: invalid rational literal 'x'"),
+            ('{"disks": [{"center": [0, 0], "radius": "1/0"}]}', [], "disks[0].radius: invalid rational literal '1/0'"),
+            ("[1]", [], "document: must be a JSON object"),
+            ('{"disks": [{"center": [0, 0], "radius": 1}], "metadata": [1]}', [], "metadata: must be an object"),
+            ('{"disks": [1]}', [], "disks[0]: must be an object"),
+            ('{"disks": [{"center": [0, 0]}]}', [], "disks[0].radius: missing"),
+            ('{"disks": [{"center": [0, 0], "radius": 1}, {"center": [0.0, 0], "radius": 1}]}', [],
+             "disks: centers must be pairwise distinct"),
+            (json.dumps({"disks": [{"center": [0, 0], "radius": f"1/{10**400}"}]}), [],
+             "disks: radius 0 is not positive as a double"),
+            (TANGENT_DOC.replace("1}", "1.0}"), ["--mode", "exact"], "exact mode needs rational centers and radii"),
+            (None, [], "cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
+        ],
+    )
+    def test_unusable_input_exits_two(self, doc, flags, message, capsys, monkeypatch, tmp_path):
+        path = "-"
+        if doc is None:  # a file that cannot be read
+            path = str(tmp_path / "missing.json")
+        else:
+            monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        code, out, err = run(["check", path, *flags], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message.format(path=path)}\n"
+
+    def test_minors_print_in_full_with_no_digit_limit(self, capsys, monkeypatch):
+        # PYTHONINTMAXSTRDIGITS=0 turns the limit off; the printer leaves it so
+        doc = json.dumps({"disks": [{"center": [10**25 * k, 0], "radius": 10**24} for k in range(10)]})
+        limit = sys.get_int_max_str_digits()
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        sys.set_int_max_str_digits(0)
+        try:
+            code, out, err = run(["check", "-"], capsys)
+            assert sys.get_int_max_str_digits() == 0
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, err) == (0, "")
+        minors = next(line for line in out.splitlines() if line.startswith("minors:")).split()[1:]
+        assert max(map(len, minors)) > limit
+
     def test_malformed_document_exits_two(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO('{"disks": []}'))
         code, out, err = run(["check", "-"], capsys)

@@ -73,6 +73,9 @@ def certificate_of(minors):
     return tuple(minors[: minors.index(0) + 1] if 0 in minors else minors)
 
 
+RATIONAL_CENTERS = [(Fraction(1, 3), Fraction(-2, 7)), 5, GaussianRational(Fraction(1, 9))]
+
+
 class TestDiskCollection:
     def test_rational_inputs_are_exact(self):
         c = DiskCollection([0, 2], [1, 1])
@@ -136,6 +139,55 @@ class TestDiskCollection:
         sub = c.subcollection([0, 2])
         assert sub.centers == (0 + 0j, 4 + 0j)
         assert sub.radii == (1.0, 3.0)
+        with pytest.raises(ValueError, match="^a disk collection needs at least one disk$"):
+            c.subcollection([])
+
+    @pytest.mark.parametrize(
+        "centers, radii, factor",
+        [
+            ([0.1 - 0.0j, -0.0 + 2j, 3e-310], [0.7, 1e-300, 5.5], 0.37),
+            (RATIONAL_CENTERS, [Fraction(1, 10), 2, "3/11"], Fraction(3, 7)),
+            (RATIONAL_CENTERS, [Fraction(1, 10), 2, "3/11"], 0.37),
+        ],
+        ids=["float", "exact", "exact-by-float"],
+    )
+    def test_scaled_and_subcollection_views_are_the_constructors(self, centers, radii, factor):
+        # both pass the stored views on, reading only new radii
+        def views(d):
+            return repr((d.centers, d.radii, d.exact_centers, d.exact_radii))
+
+        c = DiskCollection(centers, radii)
+        exact = c.is_exact and isinstance(factor, Fraction)
+        scaled_radii = [r * factor for r in (c.exact_radii if exact else c.radii)]
+        want = DiskCollection(c.exact_centers if exact else c.centers, scaled_radii)
+        assert views(c.scaled(factor)) == views(want)
+        pick = [2, 0]
+        given = (c.exact_centers, c.exact_radii) if c.is_exact else (c.centers, c.radii)
+        want = DiskCollection(*([view[i] for i in pick] for view in given))
+        assert views(c.subcollection(pick)) == views(want)
+
+    def test_scaled_radius_beyond_the_double_range_is_named(self):
+        c = DiskCollection([0, 3], [1, Fraction(10**300)])
+        with pytest.raises(ValueError, match="^radius 1 is not finite as a double$"):
+            c.scaled(Fraction(10**10))
+        with pytest.raises(ValueError, match="^radius 1 is not finite as a double$"):
+            c.scaled(1e10)
+
+    def test_max_uniform_scale_is_that_of_constructed_scalings(self, monkeypatch):
+        collections = [
+            seeded_collection(5),
+            regular_collection(7, 1.0),
+            DiskCollection([0, 3, 1j], [Fraction(1, 2), 1, "1/3"]),
+        ]
+        got = [max_uniform_scale(c) for c in collections]
+        monkeypatch.setattr(
+            DiskCollection, "scaled", lambda self, s: DiskCollection(self.centers, [r * s for r in self.radii])
+        )
+        assert got == [max_uniform_scale(c) for c in collections]
+
+    def test_repr(self):
+        assert repr(DiskCollection([0, 2], [Fraction(1, 2), 1])) == "DiskCollection(n=2, exact=True)"
+        assert repr(DiskCollection([0, 2], [0.5, 1])) == "DiskCollection(n=2, exact=False)"
 
 
 F, G = Fraction, GaussianRational
@@ -1151,6 +1203,33 @@ class TestScaleFallbacks:
             assert max_uniform_scale(c) == want
         assert flipped == [Verdict.POSITIVE_DEFINITE] * (failures * len(cases))
 
+    def test_a_non_finite_build_above_the_boundary(self, monkeypatch):
+        # every build past the reference scale has an infinite error bound:
+        # the margin at the upper end raises, and no Brent step runs
+        cases = scales_with_references()
+        build, base = core.build_q_matrix, [None]
+
+        def unbounded_above(c):
+            m = build(c)
+            if c.radii[0] <= base[0] * (1 + 1e-9):
+                return m
+            return HermitianMatrix._built(m._e, m._log_scale, np.full_like(m._bound, np.inf))
+
+        def never(*args):
+            raise AssertionError("Brent's method ran on a non-finite end")
+
+        monkeypatch.setattr(core, "build_q_matrix", unbounded_above)
+        monkeypatch.setattr(core, "_brent", never)
+        for c, want in cases:
+            base[0] = want * c.radii[0]
+            assert max_uniform_scale(c) == want
+
+    def test_a_decision_positive_at_every_scale(self, monkeypatch):
+        always = core.PositivityReport(Verdict.POSITIVE_DEFINITE, 0.0)
+        monkeypatch.setattr(core, "is_positive_definite", lambda m, *args, **kwargs: always)
+        with pytest.raises(RuntimeError, match="^failed to bracket the scale from above$"):
+            max_uniform_scale(DiskCollection([0, 2], [1, 1]))
+
     @pytest.mark.parametrize(
         "c",
         [DiskCollection([0, 2], [1, 1]), DiskCollection([0, 3 + 1j], [0.5, 1.2]), DiskCollection(roots_of_unity(3), [1] * 3)],
@@ -1187,6 +1266,10 @@ class TestHermitianMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             HermitianMatrix([[1.0, 2.0]])
+
+    def test_repr(self):
+        assert repr(HermitianMatrix([[2.0, 1j], [-1j, 2.0]])) == "HermitianMatrix(order=2, exact=False)"
+        assert repr(build_q_matrix(DiskCollection([0], [1]))) == "HermitianMatrix(order=1, exact=True)"
 
     @pytest.mark.parametrize(
         "rows, where",

@@ -112,6 +112,45 @@ class TestRationalPolynomial:
         with pytest.raises(ValueError):
             RationalPolynomial([1, 1]).exact_div(RationalPolynomial([0, 1]))
 
+    def test_int_and_fraction_operands(self):
+        p = RationalPolynomial([1, 2])
+        assert p + 1 == 1 + p == RationalPolynomial([2, 2])
+        assert p - Fraction(1, 2) == RationalPolynomial([Fraction(1, 2), 2])
+        assert divmod(p, 2) == (RationalPolynomial([Fraction(1, 2), 1]), RationalPolynomial())
+        assert p.gcd(3) == RationalPolynomial([1])
+
+    def test_only_polynomials_compare_equal(self):
+        # equal objects must hash equal, and hash(p) is not hash(3)
+        p = RationalPolynomial([3])
+        assert p != 3 and p != Fraction(3) and p != "3"
+        assert p.__eq__(3) is NotImplemented
+
+    @pytest.mark.parametrize("op", ["__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__divmod__"])
+    def test_other_operands_are_not_implemented(self, op):
+        assert getattr(RationalPolynomial([1, 2]), op)(0.5) is NotImplemented
+
+    @pytest.mark.parametrize(
+        "apply", [lambda p: p + 0.5, lambda p: p - "1", lambda p: 0.5 * p, lambda p: divmod(p, 0.5), lambda p: 1 - p]
+    )
+    def test_other_operands_raise_type_error(self, apply):
+        with pytest.raises(TypeError):
+            apply(RationalPolynomial([1, 2]))
+
+    @pytest.mark.parametrize("exponent", [-1, 1.0])
+    def test_power_needs_a_nonnegative_int(self, exponent):
+        with pytest.raises(ValueError, match="^exponent must be a nonnegative integer$"):
+            RationalPolynomial([1, 1]) ** exponent
+
+    def test_composing_zero_is_zero(self):
+        assert RationalPolynomial().compose(RationalPolynomial([1, 2])).is_zero
+
+    def test_repr(self):
+        assert repr(RationalPolynomial([Fraction(-1, 2), 0, 3])) == "RationalPolynomial(['-1/2', '0', '3'])"
+
+    def test_zero_polynomial_has_no_squarefree_decomposition(self):
+        with pytest.raises(ValueError, match="^zero polynomial has no square-free decomposition$"):
+            squarefree_decomposition(RationalPolynomial())
+
 
 class TestHypergeometric:
     def test_empty_series_is_one(self):
@@ -190,6 +229,11 @@ class TestReversedSeries:
 
 
 class TestJacobi:
+    @pytest.mark.parametrize("k", [-1, 1.0])
+    def test_degree_must_be_a_nonnegative_int(self, k):
+        with pytest.raises(ValueError, match="^degree must be a nonnegative integer$"):
+            jacobi_polynomial(k, 0, 0)
+
     def test_chebyshev_degree_two_roots(self):
         p = jacobi_polynomial(2, Fraction(-1, 2), Fraction(-1, 2))
         # (3/8)(2z^2 - 1): the classical normalization of cos(2 theta)
@@ -239,6 +283,11 @@ class TestJacobi:
 
 
 class TestVPolynomials:
+    @pytest.mark.parametrize("n, m, message", [(1, 1, "need n >= 2"), (4, 4, "m must lie in 1..3, got 4")])
+    def test_input_checks(self, n, m, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            v_polynomial(n, m)
+
     def test_first_is_constant_one(self):
         for n in (2, 3, 5, 9):
             assert v_polynomial(n, 1) == RationalPolynomial([1])
@@ -268,6 +317,32 @@ class TestVPolynomials:
 
 
 class TestRootIsolation:
+    def test_a_constant_has_no_roots(self):
+        assert isolate_real_roots(RationalPolynomial([5])).intervals == ()
+
+    @pytest.mark.parametrize(
+        "coefficients, bounds, precision, message",
+        [
+            ([-2, 0, 1], (1, 1), 1e-9, "empty range: need lo < hi"),
+            ([-2, 0, 1], None, 0.0, "precision must be positive and finite"),
+            ([], None, 1e-9, "cannot isolate roots of the zero polynomial"),
+        ],
+    )
+    def test_input_checks(self, coefficients, bounds, precision, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            isolate_real_roots(RationalPolynomial(coefficients), bounds, precision)
+
+    @pytest.mark.parametrize(
+        "hi", [10**100, 10**300, 10**400], ids=["newton-runs-out", "float-overflow", "bounds-beyond-doubles"]
+    )
+    def test_a_useless_float_guess_leaves_the_root(self, hi):
+        # the Newton guess of the cube root of 2 from (-hi, hi] stops after
+        # 100 steps far off, overflows, or cannot read the bounds as
+        # floats; bisection still isolates the root
+        iso = isolate_real_roots(RationalPolynomial([-2, 0, 0, 1]), (-hi, hi), 1e-12)
+        (lo, top, mult), = iso.intervals
+        assert mult == 1 and lo ** 3 < 2 <= top ** 3 and top - lo <= Fraction(1e-12)
+
     def test_double_root(self):
         iso = isolate_real_roots(RationalPolynomial([1, -2, 1]), (0, 2), 1e-10)
         assert len(iso.intervals) == 1

@@ -75,6 +75,10 @@ class TestCentralPolynomial:
         ratio = t.leading_coefficient / central.leading_coefficient
         assert t == ratio * central
 
+    def test_needs_two_disks(self):
+        with pytest.raises(ValueError, match="^need n >= 2$"):
+            central_polynomial(1)
+
     def test_frozen_four_disk_case(self):
         # (3z^2 + 4z + 1)/3 = (3z+1)(z+1)/3
         assert central_polynomial(4).coefficients == (
@@ -123,8 +127,14 @@ class TestBesselZero:
         assert bessel_j1_first_zero() > 3.0
 
     def test_series_against_scipy(self):
-        for x in (0.1, 0.7, 1.9, 3.3, 4.9):
+        for x in (0.1, 0.7, 1.9, 3.3, 4.9, 5.0, -5.0):
             assert bessel_j1(x) == pytest.approx(scipy.special.j1(x), abs=1e-14)
+
+    @pytest.mark.parametrize("x", [5.0000001, -5.0000001, 60.0, math.inf, math.nan])
+    def test_series_refuses_where_it_is_not_accurate(self, x):
+        # the float series gave 7.3e7 at 60, where J_1(60) = 0.0466
+        with pytest.raises(ValueError, match=rf"^bessel_j1 is accurate for \|x\| <= 5 only, got {x!r}$"):
+            bessel_j1(x)
 
     def test_zero_against_scipy(self):
         want = scipy.special.jn_zeros(1, 1)[0]

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import naive_q_matrix, roots_of_unity
-from diskpd.core import Verdict, build_q_matrix, is_positive_definite
+from diskpd import symmetric
+from diskpd.core import HermitianMatrix, Verdict, build_q_matrix, is_positive_definite
 from diskpd.orthopoly import RationalPolynomial
 from diskpd.radius import maximal_radius
 from diskpd.symmetric import (
@@ -53,6 +54,14 @@ class TestTPolynomial:
 
 
 class TestAMatrix:
+    def test_roots_of_unity_without_conjugate_symmetry_are_caught(self, monkeypatch):
+        # the upper triangle is copied from the lower one, so a table whose
+        # w^(n-k) is not conj(w^k) breaks the circulant structure
+        roots = symmetric._roots_of_unity
+        monkeypatch.setattr(symmetric, "_roots_of_unity", lambda n: [*roots(n)[:-1], 1.01 * roots(n)[-1]])
+        with pytest.raises(ArithmeticError, match="^matrix is not circulant at row 2, column 0$"):
+            a_matrix(4, 0.5)
+
     def test_negated_equals_q_at_matching_radius(self):
         for n in (2, 3, 5, 8):
             r = 0.3 + 0.2 * n / 8
@@ -135,6 +144,22 @@ class TestCirculantSpectrum:
         with pytest.raises(ValueError):
             circulant_spectrum(4, z, check=check)
 
+    def test_needs_two_disks(self):
+        with pytest.raises(ValueError, match="^need n >= 2$"):
+            circulant_spectrum(1, 0.5)
+
+    def test_a_first_row_off_the_spectrum_raises(self, monkeypatch):
+        a_array = symmetric._a_array
+
+        def skewed(n, z):
+            a = a_array(n, z)
+            a[0, 1] += 1j
+            return a
+
+        monkeypatch.setattr(symmetric, "_a_array", skewed)
+        with pytest.raises(ArithmeticError, match=r"^direct eigenvalue sum for m=2 has imaginary residue -1\.000e\+00$"):
+            circulant_spectrum(4, 0.5)
+
 
 class TestPositivityByT:
     def test_three_disk_boundary(self):
@@ -179,7 +204,22 @@ class TestDetFactorization:
         assert res.log_relative_error < 1e-12
 
     def test_three_disks_unit_radius_is_a_boundary(self):
-        assert det_factorization_check(3, 1.0).boundary
+        res = det_factorization_check(3, 1.0)
+        assert res.boundary
+        assert res.log_relative_error is None and res.signs_agree is None
+
+    def test_a_complex_determinant_raises(self, monkeypatch):
+        build = symmetric.build_q_matrix
+
+        def non_hermitian(c):
+            m = build(c)
+            e = m._e.copy()
+            e[0, 1] *= 1j
+            return HermitianMatrix._built(e, m._log_scale, m._bound)
+
+        monkeypatch.setattr(symmetric, "build_q_matrix", non_hermitian)
+        with pytest.raises(ArithmeticError, match="^determinant of a Hermitian matrix must be real$"):
+            det_factorization_check(4, 0.5)
 
     def test_six_disks(self):
         res = det_factorization_check(6, 0.37)
@@ -201,3 +241,8 @@ class TestDetFactorization:
             det_factorization_check(65, 0.5)
         with pytest.raises(ValueError):
             det_factorization_check(4, -0.5)
+
+
+def test_regular_collection_needs_a_disk():
+    with pytest.raises(ValueError, match="^need n >= 1$"):
+        regular_collection(0, 0.5)
