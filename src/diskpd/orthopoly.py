@@ -11,8 +11,9 @@ family that carries the zero structure of the circulant eigenvalue
 polynomials.
 
 Everything here is exact except the float guesses, which only choose
-where an exact refinement starts, and the float values reported for
-refined roots.  All objects are immutable and safe to share.
+where an exact refinement starts, the float values reported for refined
+roots, and a polynomial's value at a float, which is the exact value at
+that double rounded once.  All objects are immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -164,16 +165,27 @@ class RationalPolynomial:
         return NotImplemented
 
     def __call__(self, x):
-        """Horner evaluation; exact for int/Fraction arguments.  At a float each
-        coefficient enters as c / den, the correctly rounded float(c/den)."""
-        if self._num and isinstance(x, (int, Fraction)):
-            q = x.denominator
-            return Fraction(_homogeneous(self._num, x.numerator, q), q ** self.degree * self._den)
-        coeffs = [c / self._den for c in self._num] if type(x) is float else self.coefficients
-        acc = 0 * x
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        return acc
+        """The value at x, by Horner's rule on the integers.  At an int or
+        Fraction it is the exact Fraction; at a finite float (numpy's float64
+        included) it is the correctly rounded double of the exact value at
+        that double, and +-inf where that leaves the double range.  A float
+        that is not finite raises ValueError, any other type TypeError."""
+        if isinstance(x, float):
+            if not math.isfinite(x):
+                raise ValueError(f"cannot evaluate a polynomial at {x!r}")
+            p, q = x.as_integer_ratio()
+        elif isinstance(x, (int, Fraction)):
+            p, q = x.numerator, x.denominator
+        else:
+            raise TypeError(f"cannot evaluate a polynomial at a {type(x).__name__}")
+        cs = self._num or (0,)
+        top, bottom = _homogeneous(cs, p, q), q ** (len(cs) - 1) * self._den
+        if not isinstance(x, float):
+            return Fraction(top, bottom)
+        try:
+            return top / bottom  # int true division rounds correctly
+        except OverflowError:
+            return math.inf if top > 0 else -math.inf
 
     def derivative(self) -> "RationalPolynomial":
         return RationalPolynomial._of(_int_deriv(self._num), self._den)

@@ -86,14 +86,6 @@ def a_matrix(n: int, z: float) -> HermitianMatrix:
     the index formula.  An entry that is NaN or overflows raises
     ValueError naming the first one, with no numpy warning.
     """
-    a = _a_array(n, z)
-    _reject(a, ~np.isfinite(a))
-    return HermitianMatrix(a.tolist())
-
-
-def _a_array(n: int, z: float) -> np.ndarray:
-    """The entries of a_matrix as one complex array, checked circulant;
-    non-finite entries stay."""
     if n < 2:
         raise ValueError("need n >= 2")
     if z < -1:
@@ -110,49 +102,25 @@ def _a_array(n: int, z: float) -> np.ndarray:
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise ArithmeticError(f"matrix is not circulant at row {i + 1}, column {j}")
-    return a
-
-
-def _reject(a: np.ndarray, bad: np.ndarray) -> None:
-    """ValueError naming the first entry of a where bad holds."""
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
+    nonfinite = ~np.isfinite(a)
+    if nonfinite.any():
+        i, j = np.argwhere(nonfinite)[0]
         raise ValueError(f"matrix entry ({i},{j}) is {'NaN' if np.isnan(a[i, j]) else 'infinite'}")
+    return HermitianMatrix(a.tolist())
 
 
-def circulant_spectrum(n: int, z, check: bool = True) -> list[float]:
+def circulant_spectrum(n: int, z) -> list[float]:
     """[T_{n,1}(z), ..., T_{n,n}(z)], the eigenvalues of A(z).
 
-    Values come from the exact polynomials (evaluated exactly for rational
-    z, in floating point otherwise; a float z must be finite).  With
-    check=True the alternative direct computation sum_j w^(m j) A_{1,j+1}(z)
-    is formed for every m as one matrix-vector product on the floating
-    first row of a_matrix, whose entries are computed independently, and
-    its imaginary residue is asserted below 1e-9 relative to the row scale.
-    A row with an infinite entry passes; a NaN entry of A raises
-    ValueError, as in a_matrix.
+    Each value is the exact polynomial's value at z rounded once to a
+    double: RationalPolynomial evaluates exactly at an int, a Fraction or
+    the dyadic rational of a finite float, so no cancellation enters.  A
+    float value past the double range is +-inf; a float z that is not
+    finite raises ValueError.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    if isinstance(z, float) and not math.isfinite(z):
-        raise ValueError(f"z must be finite, got {z!r}")
-    zq = Fraction(z) if isinstance(z, (int, Fraction)) else z
-    values = [float(t_polynomial(n, m)(zq)) for m in range(1, n + 1)]
-    if check:
-        w = np.array(_roots_of_unity(n))
-        a = _a_array(n, float(z))
-        _reject(a, np.isnan(a))
-        first_row = a[0]
-        scale = max(1.0, np.abs(first_row).max())
-        with np.errstate(invalid="ignore"):  # an overflowed row sums inf - inf
-            residue = (w[np.outer(np.arange(1, n + 1), np.arange(n)) % n] @ first_row).imag
-        bad = np.abs(residue) > 1e-9 * scale
-        if bad.any():
-            m = int(bad.argmax()) + 1
-            raise ArithmeticError(
-                f"direct eigenvalue sum for m={m} has imaginary residue {residue[m - 1]:.3e}"
-            )
-    return values
+    return [float(t_polynomial(n, m)(z)) for m in range(1, n + 1)]
 
 
 def positivity_by_t(n: int, r: float) -> bool:

@@ -116,25 +116,25 @@ def _exact_q_entry(c: DiskCollection, i: int, j: int) -> core.GaussianRational:
 
 
 def core_suite(seed: int = 0, samples: int = 200, nmax: int = 8) -> list[CheckResult]:
+    if samples < 1:  # a check that draws nothing must not pass
+        raise ValueError("samples must be at least 1")
     rng = random.Random(seed)
     out = []
 
     # Hermitian symmetry, against an independent per-entry product loop
-    bad = None
-    for _ in range(40):
-        c = _sample_disks(rng, nmax, 0.2, 0.9)
-        q = core.build_q_matrix(c)
-        for i in range(c.n):
-            for j in range(c.n):
-                direct = _naive_q_entry(c, j, i).conjugate()
-                built = q.entry(i, j)
-                if abs(built - direct) > 1e-12 * max(1.0, abs(direct)):
-                    bad = f"entry ({i},{j}) deviates from conjugate transpose"
-                if i == j and built.imag != 0.0:
-                    bad = f"diagonal entry {i} not real"
-        if bad:
-            break
-    out.append(CheckResult("core.hermitian-symmetry", bad is None, bad or ""))
+    def hermitian_entries():
+        for _ in range(40):
+            c = _sample_disks(rng, nmax, 0.2, 0.9)
+            q = core.build_q_matrix(c)
+            for i in range(c.n):
+                for j in range(c.n):
+                    direct = _naive_q_entry(c, j, i).conjugate()
+                    built = q.entry(i, j)
+                    if abs(built - direct) > 1e-12 * max(1.0, abs(direct)):
+                        yield f"entry ({i},{j}) deviates from conjugate transpose"
+                    if i == j and built.imag != 0.0:
+                        yield f"diagonal entry {i} not real"
+    out.append(_first_failure("core.hermitian-symmetry", hermitian_entries()))
 
     # exact Q, both triangles, against the definition in Fraction arithmetic
     exact_ok = True
@@ -244,7 +244,7 @@ def symmetric_suite(nmax: int = 12, seed: int = 0) -> list[CheckResult]:
                 z = rng.uniform(-1.0, 3.0)
                 a = symmetric.a_matrix(n, z)
                 eig = sorted(a.eigenvalues())
-                tv = sorted(symmetric.circulant_spectrum(n, z, check=False))
+                tv = sorted(symmetric.circulant_spectrum(n, z))
                 scale = max(1.0, max(abs(t) for t in tv))
                 if any(abs(e - t) > 1e-7 * scale for e, t in zip(eig, tv)):
                     yield f"n={n}, z={z:.6f}: eigenvalues deviate from T values"
@@ -254,7 +254,7 @@ def symmetric_suite(nmax: int = 12, seed: int = 0) -> list[CheckResult]:
         for n in range(2, nmax + 1):
             for _ in range(20):
                 z = rng.uniform(-1.0, 3.0)
-                tv = symmetric.circulant_spectrum(n, z, check=False)
+                tv = symmetric.circulant_spectrum(n, z)
                 scale = max(abs(t) for t in tv)
                 if min(abs(t) for t in tv) < 1e-6 * max(scale, 1.0):
                     continue  # too close to a determinant zero for a ratio
@@ -577,6 +577,8 @@ _TRIANGLE_CHUNK = 1_000
 
 
 def triangle_suite(seed: int = 0, samples: int = 10_000) -> list[CheckResult]:
+    if samples < 1:  # a check that draws nothing must not pass
+        raise ValueError("samples must be at least 1")
     rng = random.Random(seed)
     out = []
     centers = np.array([cmath.exp(2j * math.pi * k / 3) for k in (1, 2, 3)])

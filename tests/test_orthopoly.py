@@ -58,12 +58,41 @@ class TestRationalPolynomial:
             assert other == p and hash(other) == hash(p)
             assert other.coefficients == p.coefficients
 
-    @given(small_polys, st.floats(-1e3, 1e3))
-    def test_float_evaluation_is_horner_over_float_coefficients(self, p, x):
-        acc = 0 * x
-        for c in reversed(p.coefficients):
-            acc = acc * x + float(c)
-        assert p(x).hex() == acc.hex()
+    @given(small_polys, st.floats(allow_nan=False, allow_infinity=False))
+    def test_float_evaluation_is_the_exact_value_rounded_once(self, p, x):
+        exact = p(Fraction(x))
+        try:
+            expected = float(exact)
+        except OverflowError:
+            expected = math.inf if exact > 0 else -math.inf
+        assert p(x).hex() == expected.hex()
+
+    @pytest.mark.parametrize("m", range(1, 49))
+    def test_float_evaluation_does_not_cancel_near_minus_one(self, m):
+        # float Horner on these integer coefficients is off by up to 12.7
+        # times max|T| at -0.99; the exact value rounds once
+        p = t_polynomial(48, m)
+        assert p(-0.99).hex() == float(p(Fraction(-0.99))).hex()
+
+    def test_float_evaluation_leaves_the_double_range_as_infinity(self):
+        p = RationalPolynomial([0, 0, -1])
+        assert p(1e200) == -math.inf and (-p)(-1e200) == math.inf
+        assert p(1e100) == -1e200
+
+    def test_numpy_float_evaluates_as_a_float(self):
+        p = RationalPolynomial([Fraction(1, 3), -2, 5])
+        value = p(np.float64(0.5))
+        assert type(value) is float and value.hex() == p(0.5).hex()
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_nonfinite_float_raises(self, x):
+        with pytest.raises(ValueError, match=r"^cannot evaluate a polynomial at (nan|inf|-inf)$"):
+            RationalPolynomial([1, 2])(x)
+
+    @pytest.mark.parametrize("x, name", [(1j, "complex"), (np.array([0.5]), "ndarray"), ("1", "str")])
+    def test_other_argument_types_raise(self, x, name):
+        with pytest.raises(TypeError, match=f"^cannot evaluate a polynomial at a {name}$"):
+            RationalPolynomial([1, 2])(x)
 
     @given(small_polys, small_polys)
     def test_divmod_reconstructs(self, f, g):

@@ -130,35 +130,32 @@ class TestCirculantSpectrum:
     def test_first_value_vanishes_at_zero(self, n):
         assert circulant_spectrum(n, 0)[0] == 0.0
 
-    def test_imaginary_residue_check_runs(self):
-        # the direct-sum cross check is on by default and must stay silent
-        circulant_spectrum(7, 0.55, check=True)
+    def test_overflowing_values_are_infinite_without_a_warning(self):
+        # A(1e200) overflows; its T values are exact and round to +-inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = circulant_spectrum(4, 1e200)
+        assert values == [-math.inf, math.inf, -16 * 1e200, math.inf]
 
-    def test_overflowing_first_row_is_checked_without_a_warning(self):
-        # A(1e100) has infinite entries; the values come from T alone
-        assert circulant_spectrum(4, 1e100) == circulant_spectrum(4, 1e100, check=False)
-
-    @pytest.mark.parametrize("check", [False, True])
+    @pytest.mark.parametrize("numpy_scalar", [False, True])
     @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-    def test_nonfinite_z_raises(self, z, check):
-        with pytest.raises(ValueError):
-            circulant_spectrum(4, z, check=check)
+    def test_nonfinite_z_raises(self, z, numpy_scalar):
+        with pytest.raises(ValueError, match="^cannot evaluate a polynomial at"):
+            circulant_spectrum(4, np.float64(z) if numpy_scalar else z)
 
     def test_needs_two_disks(self):
         with pytest.raises(ValueError, match="^need n >= 2$"):
             circulant_spectrum(1, 0.5)
 
-    def test_a_first_row_off_the_spectrum_raises(self, monkeypatch):
-        a_array = symmetric._a_array
-
-        def skewed(n, z):
-            a = a_array(n, z)
-            a[0, 1] += 1j
-            return a
-
-        monkeypatch.setattr(symmetric, "_a_array", skewed)
-        with pytest.raises(ArithmeticError, match=r"^direct eigenvalue sum for m=2 has imaginary residue -1\.000e\+00$"):
-            circulant_spectrum(4, 0.5)
+    @pytest.mark.parametrize("n", [31, 48])
+    def test_values_are_the_rounded_exact_values_near_minus_one(self, n):
+        # float Horner on the integer coefficients cancels here (12.7 max|T|
+        # of error at n = 48, z = -0.99); the exact value rounds once
+        z = -0.99
+        exact = [float(t_polynomial(n, m)(Fraction(z))) for m in range(1, n + 1)]
+        assert circulant_spectrum(n, z) == exact
+        eig = sorted(a_matrix(n, z).eigenvalues())
+        assert eig == pytest.approx(sorted(exact), abs=1e-12 * max(map(abs, exact)))
 
 
 class TestPositivityByT:

@@ -174,11 +174,31 @@ def test_a_sampler_that_never_separates_the_centers_raises(monkeypatch):
         verify.core_suite()
 
 
-@pytest.mark.parametrize("nmax", [1, 2, 9, 10])
-@pytest.mark.parametrize("suite", list(verify.SUITES))
+def test_two_faults_in_one_matrix_report_the_first(capsys, monkeypatch):
+    def both(c, e, l, v):
+        return imaginary_diagonal(c, *off_diagonal_error(c, e, l, v))
+
+    monkeypatch.setattr(core, "build_q_matrix", floating_build(both))
+    code, out = run_suite("core", capsys)
+    assert code == 1
+    assert "FAIL core.hermitian-symmetry: entry (0,7) deviates from conjugate transpose" in out
+
+
+@pytest.mark.parametrize("suite", [verify.core_suite, verify.triangle_suite])
+def test_a_suite_that_draws_no_sample_raises(suite):
+    with pytest.raises(ValueError, match="^samples must be at least 1$"):
+        suite(samples=0)
+
+
+@pytest.mark.parametrize(
+    "suite, nmax",
+    [(suite, nmax) for suite in verify.SUITES for nmax in (1, 2, 9, 10)] + [("symmetric", 32), ("symmetric", 40)],
+)
 def test_every_suite_at_small_and_large_nmax(suite, nmax, capsys):
-    # --nmax 9 and below ended in a KeyError from the radius scale searches
+    # --nmax 9 and below ended in a KeyError from the radius scale searches;
+    # the symmetric suite at 32 and beyond failed on float Horner T values
     code = main(["verify", "--suite", suite, "--nmax", str(nmax)])
     out, err = capsys.readouterr()
     assert (code, err) == (0, "")
+    assert "FAIL" not in out
     assert out.endswith("\nverify: ok\n")
